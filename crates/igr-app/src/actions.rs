@@ -25,10 +25,11 @@
 //! * nothing here feeds a content hash: like `resumed_from`, the log is a
 //!   recorded outcome, not part of a scenario's identity.
 
+use crate::checkpoint::{decode_log, decode_log_exact, encode_log};
 use crate::jets::{GimbalSchedule, JetArrayInflow, ScheduledJetInflow};
 use igr_core::bc::{Bc, InflowProfile};
 use igr_core::eos::Prim;
-use igr_core::solver::{BcGhostOps, RhsScheme, Solver};
+use igr_core::solver::{BcGhostOps, GhostOps, RhsScheme, Solver};
 use igr_prec::{Real, Storage};
 use igr_species::SpeciesSolver;
 use std::sync::Arc;
@@ -133,6 +134,8 @@ pub struct ActionLog {
 const RECORD_BYTES: usize = 8 + 8 + 1 + 8 + 48;
 /// Trailer magic + version, appended after an `IGRCKPT` payload.
 pub(crate) const ACTLOG_MAGIC: &[u8; 8] = b"ACTLOG\x01\0";
+/// How decode errors name this log.
+const WHAT: &str = "action-log";
 
 impl ActionLog {
     /// An empty log.
@@ -164,10 +167,7 @@ impl ActionLog {
     /// Every float is written as its IEEE-754 bit pattern (bit-exact,
     /// NaN/±inf included).
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(16 + self.records.len() * RECORD_BYTES);
-        out.extend_from_slice(ACTLOG_MAGIC);
-        out.extend_from_slice(&(self.records.len() as u64).to_le_bytes());
-        for rec in &self.records {
+        encode_log(ACTLOG_MAGIC, RECORD_BYTES, &self.records, |rec, out| {
             out.extend_from_slice(&rec.step.to_le_bytes());
             out.extend_from_slice(&rec.t.to_bits().to_le_bytes());
             let (kind, idx, p) = encode_action(&rec.action);
@@ -176,57 +176,35 @@ impl ActionLog {
             for v in p {
                 out.extend_from_slice(&v.to_le_bytes());
             }
-        }
-        out
+        })
     }
 
     /// Parse a trailer produced by [`ActionLog::encode`]. The byte slice
     /// must contain exactly one trailer (no slack).
     pub fn decode(bytes: &[u8]) -> Result<Self, String> {
-        let (log, used) = Self::decode_prefix(bytes)?;
-        if used != bytes.len() {
-            return Err(format!(
-                "action-log trailer has {} trailing bytes",
-                bytes.len() - used
-            ));
-        }
-        Ok(log)
+        decode_log_exact(WHAT, ACTLOG_MAGIC, RECORD_BYTES, bytes, decode_record)
+            .map(|records| ActionLog { records })
     }
 
     /// Parse one trailer from the front of `bytes`, returning the log and
     /// the number of bytes consumed — the entry point for the multi-trailer
     /// checkpoint parser (an `ACTLOG` may be followed by a `RECLOG`).
     pub fn decode_prefix(bytes: &[u8]) -> Result<(Self, usize), String> {
-        if bytes.len() < 16 || &bytes[..8] != ACTLOG_MAGIC {
-            return Err("bad action-log magic".into());
-        }
-        let count = u64::from_le_bytes(bytes[8..16].try_into().unwrap()) as usize;
-        let total = 16
-            + count
-                .checked_mul(RECORD_BYTES)
-                .ok_or("action-log count overflows")?;
-        if bytes.len() < total {
-            return Err(format!(
-                "action-log holds {} bytes, {count} records need {total}",
-                bytes.len()
-            ));
-        }
-        let mut records = Vec::with_capacity(count);
-        for r in 0..count {
-            let b = &bytes[16 + r * RECORD_BYTES..16 + (r + 1) * RECORD_BYTES];
-            let step = u64::from_le_bytes(b[0..8].try_into().unwrap());
-            let t = f64::from_bits(u64::from_le_bytes(b[8..16].try_into().unwrap()));
-            let kind = b[16];
-            let idx = u64::from_le_bytes(b[17..25].try_into().unwrap());
-            let mut p = [0u64; 6];
-            for (s, slot) in p.iter_mut().enumerate() {
-                *slot = u64::from_le_bytes(b[25 + s * 8..33 + s * 8].try_into().unwrap());
-            }
-            let action = decode_action(kind, idx, &p)?;
-            records.push(ActionRecord { step, t, action });
-        }
-        Ok((ActionLog { records }, total))
+        decode_log(WHAT, ACTLOG_MAGIC, RECORD_BYTES, bytes, decode_record)
+            .map(|(records, used)| (ActionLog { records }, used))
     }
+}
+
+/// One fixed-layout record (a `RECORD_BYTES` slice) back into an
+/// [`ActionRecord`].
+fn decode_record(b: &[u8]) -> Result<ActionRecord, String> {
+    let u = |at: usize| u64::from_le_bytes(b[at..at + 8].try_into().expect("8-byte slice"));
+    let p: [u64; 6] = std::array::from_fn(|s| u(25 + s * 8));
+    Ok(ActionRecord {
+        step: u(0),
+        t: f64::from_bits(u(8)),
+        action: decode_action(b[16], u(17), &p)?,
+    })
 }
 
 /// Bit-exact equality via the canonical binary encoding.
@@ -545,15 +523,38 @@ fn actuate_jet_on_bcs(
     Ok(())
 }
 
-/// The single-block solver applies every action kind: dt policy directly,
-/// jet actions by rewriting the installed inflow profile through the BC
-/// surface (and invalidating the memoized inflow planes so the next ghost
-/// fill re-evaluates the new boundary).
-impl<R, S, Sch> Actuate for Solver<R, S, Sch, BcGhostOps>
+/// Ghost policies that own the boundary-condition set jet actions rewrite.
+pub trait BcSurface {
+    /// The boundary conditions, handed out for rewriting: memoized inflow
+    /// planes are dropped, so the next ghost fill re-evaluates the profile.
+    fn bcs_for_rewrite(&mut self) -> &mut igr_core::bc::BcSet;
+}
+
+impl BcSurface for BcGhostOps {
+    fn bcs_for_rewrite(&mut self) -> &mut igr_core::bc::BcSet {
+        self.invalidate_inflow_cache();
+        &mut self.bcs
+    }
+}
+
+impl BcSurface for crate::parallel::HaloGhostOps {
+    fn bcs_for_rewrite(&mut self) -> &mut igr_core::bc::BcSet {
+        self.invalidate_inflow_cache();
+        &mut self.bcs
+    }
+}
+
+/// The solver applies every action kind: dt policy directly, jet actions by
+/// rewriting the installed inflow profile through the BC surface. Decomposed
+/// solvers take the same path: every rank holds the full
+/// [`igr_core::bc::BcSet`] and mutates it with identical parameters, so the
+/// actuated boundary state stays rank-count invariant.
+impl<R, S, Sch, G> Actuate for Solver<R, S, Sch, G>
 where
     R: Real,
     S: Storage<R>,
     Sch: RhsScheme<R, S>,
+    G: GhostOps<R, S> + BcSurface,
 {
     fn actuate(&mut self, action: &Action, t: f64) -> Result<(), ActuateError> {
         match action {
@@ -562,38 +563,7 @@ where
                 Ok(())
             }
             Action::RequestCheckpoint => Ok(()),
-            jet_action => {
-                actuate_jet_on_bcs(&mut self.ghost.bcs, jet_action, t)?;
-                self.ghost.invalidate_inflow_cache();
-                Ok(())
-            }
-        }
-    }
-}
-
-/// Decomposed solvers apply the same action set: every rank holds the full
-/// [`igr_core::bc::BcSet`] and mutates it with identical parameters, so the
-/// actuated boundary state stays rank-count invariant (each rank's wall
-/// faces re-evaluate the same rewritten profile after its inflow cache is
-/// invalidated).
-impl<R, S, Sch> Actuate for Solver<R, S, Sch, crate::parallel::HaloGhostOps>
-where
-    R: Real + igr_comm::CommData,
-    S: Storage<R>,
-    Sch: RhsScheme<R, S>,
-{
-    fn actuate(&mut self, action: &Action, t: f64) -> Result<(), ActuateError> {
-        match action {
-            Action::SetFixedDt { dt } => {
-                self.fixed_dt = *dt;
-                Ok(())
-            }
-            Action::RequestCheckpoint => Ok(()),
-            jet_action => {
-                actuate_jet_on_bcs(&mut self.ghost.bcs, jet_action, t)?;
-                self.ghost.invalidate_inflow_cache();
-                Ok(())
-            }
+            jet_action => actuate_jet_on_bcs(self.ghost.bcs_for_rewrite(), jet_action, t),
         }
     }
 }

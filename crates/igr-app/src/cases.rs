@@ -17,12 +17,19 @@ use std::sync::Arc;
 /// comparisons apples-to-apples.
 #[derive(Clone)]
 pub struct CaseSetup {
+    /// Human-readable case name (report rows, file stems).
     pub name: String,
+    /// The computational domain (shape, extents, ghost width).
     pub domain: Domain,
+    /// Ratio of specific heats.
     pub gamma: f64,
+    /// Shear viscosity (0 = inviscid).
     pub mu: f64,
+    /// Bulk viscosity (0 = inviscid).
     pub zeta: f64,
+    /// Boundary conditions on the six faces.
     pub bc: BcSet,
+    /// Initial primitive state as a function of position.
     pub init: Arc<dyn Fn([f64; 3]) -> Prim<f64> + Send + Sync>,
     /// The engine-array inflow for jet cases (None for non-jet workloads) —
     /// diagnostics like [`crate::base::BaseHeatingReport`] need the layout.

@@ -124,9 +124,79 @@ impl RankMeta {
     }
 }
 
+/// Frame a replay log as a checkpoint trailer: `magic`(8) + record count
+/// (8, LE) + the records at `record_bytes` each, as written by `put`.
+pub(crate) fn encode_log<T>(
+    magic: &[u8; 8],
+    record_bytes: usize,
+    records: &[T],
+    mut put: impl FnMut(&T, &mut Vec<u8>),
+) -> Vec<u8> {
+    let mut out = Vec::with_capacity(16 + records.len() * record_bytes);
+    out.extend_from_slice(magic);
+    out.extend_from_slice(&(records.len() as u64).to_le_bytes());
+    for rec in records {
+        put(rec, &mut out);
+    }
+    debug_assert_eq!(out.len(), 16 + records.len() * record_bytes);
+    out
+}
+
+/// Parse one [`encode_log`] trailer from the front of `bytes`, returning the
+/// records (each decoded by `get` from its `record_bytes` slice) and the
+/// number of bytes consumed. The count is untrusted input: it is checked
+/// against the bytes actually present before anything is allocated.
+pub(crate) fn decode_log<T>(
+    what: &str,
+    magic: &[u8; 8],
+    record_bytes: usize,
+    bytes: &[u8],
+    get: impl FnMut(&[u8]) -> Result<T, String>,
+) -> Result<(Vec<T>, usize), String> {
+    if bytes.len() < 16 || &bytes[..8] != magic {
+        return Err(format!("bad {what} magic"));
+    }
+    let count = u64::from_le_bytes(bytes[8..16].try_into().expect("8-byte slice"));
+    let total = usize::try_from(count)
+        .ok()
+        .and_then(|n| n.checked_mul(record_bytes))
+        .and_then(|n| n.checked_add(16))
+        .filter(|total| *total <= bytes.len())
+        .ok_or_else(|| {
+            format!(
+                "{what} holds {} bytes, too few for {count} records",
+                bytes.len()
+            )
+        })?;
+    let records = bytes[16..total]
+        .chunks_exact(record_bytes)
+        .map(get)
+        .collect::<Result<Vec<T>, String>>()?;
+    Ok((records, total))
+}
+
+/// [`decode_log`] for a slice that must hold exactly one trailer (no slack).
+pub(crate) fn decode_log_exact<T>(
+    what: &str,
+    magic: &[u8; 8],
+    record_bytes: usize,
+    bytes: &[u8],
+    get: impl FnMut(&[u8]) -> Result<T, String>,
+) -> Result<Vec<T>, String> {
+    let (records, used) = decode_log(what, magic, record_bytes, bytes, get)?;
+    if used != bytes.len() {
+        return Err(format!(
+            "{what} trailer has {} trailing bytes",
+            bytes.len() - used
+        ));
+    }
+    Ok(records)
+}
+
 /// Errors from checkpoint I/O.
 #[derive(Debug)]
 pub enum CheckpointError {
+    /// Reading or writing the file failed.
     Io(std::io::Error),
     /// Not a checkpoint file or wrong version.
     BadMagic,
@@ -154,9 +224,13 @@ impl From<std::io::Error> for CheckpointError {
 
 /// Storage scalars that can be dumped bit-exactly.
 pub trait CheckpointScalar: Copy {
+    /// The header's width tag for this scalar (its byte width).
     const TAG: u8;
+    /// Bytes one value occupies on disk.
     const WIDTH: usize;
+    /// Append the value's little-endian bit pattern.
     fn write_to(&self, out: &mut Vec<u8>);
+    /// Rebuild a value from exactly [`CheckpointScalar::WIDTH`] bytes.
     fn read_from(bytes: &[u8]) -> Self;
 }
 
@@ -197,7 +271,9 @@ impl CheckpointScalar for f16 {
 /// time step, the packed conserved state (interior + ghosts), and
 /// optionally Σ.
 pub struct Checkpoint {
+    /// Simulation time at capture.
     pub t: f64,
+    /// Absolute step count at capture.
     pub step: usize,
     /// The solver's pinned time step at capture, if any (grind measurement
     /// freezes `dt`; restoring it keeps a resumed run on the identical step
@@ -808,6 +884,44 @@ mod tests {
             Checkpoint::load(&p_junk),
             Err(CheckpointError::Mismatch(_))
         ));
+    }
+
+    /// A log trailer's record count is untrusted input: crafted counts whose
+    /// `16 + count × RECORD_BYTES` wraps in release arithmetic, and a trailer
+    /// one byte short of its records, must come back as typed errors from
+    /// `load` — never a panic or a count-sized allocation.
+    #[test]
+    fn hostile_log_trailers_are_typed_errors_not_panics() {
+        use crate::actions::{Action, ActionLog};
+        use crate::recovery::RecoveryLog;
+        let case = cases::steepening_wave(8, 0.2);
+        let solver = case.igr_solver::<f64, StoreF64>();
+        let plain = tmp("hostile_plain.ckpt");
+        Checkpoint::capture(&solver.q, None, 0.0, 0)
+            .save(&plain)
+            .unwrap();
+        let payload = std::fs::read(&plain).unwrap();
+        let mut log = ActionLog::new();
+        log.record(1, 0.5, Action::EngineOut { engine: 0 });
+        let mut short = log.encode();
+        short.pop();
+
+        let crafted = |magic: &[u8; 8], count: u64| [&magic[..], &count.to_le_bytes()].concat();
+        for (name, trailer) in [
+            ("actlog", crafted(b"ACTLOG\x01\0", 252695124297391118)),
+            ("reclog", crafted(b"RECLOG\x01\0", 329406144173384850)),
+            ("actlog_max", crafted(b"ACTLOG\x01\0", u64::MAX)),
+            ("short", short),
+        ] {
+            assert!(ActionLog::decode_prefix(&trailer).is_err(), "{name}");
+            assert!(RecoveryLog::decode_prefix(&trailer).is_err(), "{name}");
+            let path = tmp(&format!("hostile_{name}.ckpt"));
+            std::fs::write(&path, [&payload[..], &trailer[..]].concat()).unwrap();
+            assert!(
+                matches!(Checkpoint::load(&path), Err(CheckpointError::Mismatch(_))),
+                "{name}: hostile trailer must be a typed load error"
+            );
+        }
     }
 
     #[test]

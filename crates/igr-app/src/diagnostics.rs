@@ -13,7 +13,9 @@ use igr_prec::{Real, Storage};
 /// One sampled record.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Sample {
+    /// Absolute step the sample was taken after.
     pub step: usize,
+    /// Simulation time of the sample.
     pub t: f64,
     /// Conserved integrals: mass, 3 momenta, total energy.
     pub totals: [f64; 5],
@@ -29,7 +31,9 @@ pub struct Sample {
 /// by the driver's `MetricsObserver` from the `igr-obs` registry.
 #[derive(Clone, Debug, PartialEq)]
 pub struct PhaseSample {
+    /// Absolute step the interval ended at.
     pub step: usize,
+    /// Simulation time the interval ended at.
     pub t: f64,
     /// `(phase, seconds, spans)` accumulated since the previous phase
     /// sample (or since the run started, for the first), name-sorted.
@@ -40,7 +44,9 @@ pub struct PhaseSample {
 /// of [`PhaseSample`]s when a run is instrumented.
 #[derive(Clone, Debug, Default)]
 pub struct History {
+    /// Flow samples, in recording order.
     pub samples: Vec<Sample>,
+    /// Phase-timing samples, in recording order (empty unless instrumented).
     pub phase_samples: Vec<PhaseSample>,
 }
 
@@ -85,6 +91,7 @@ pub fn sample_state<R: Real, S: Storage<R>>(
 }
 
 impl History {
+    /// An empty history.
     pub fn new() -> Self {
         History::default()
     }

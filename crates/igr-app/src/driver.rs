@@ -21,11 +21,16 @@
 //! * a progress/abort hook ([`Driver::on_progress`]);
 //! * [`Controller`]s — the **act** phase of the two-phase loop. Observers
 //!   stay read-only; controllers return typed [`Action`] requests after
-//!   observing a step, and [`Driver::run_controlled`] applies them at the
-//!   step boundary through [`crate::actions::Actuate`], appending every
-//!   applied action to the driver's [`ActionLog`]. The log rides in
-//!   checkpoints, so [`Driver::resume_controlled`] replays a mutated run
-//!   bitwise (see docs/DRIVER.md "Controllers & determinism").
+//!   observing a step, and the driver applies them at the step boundary
+//!   through [`crate::actions::Actuate`], appending every applied action to
+//!   its [`ActionLog`]. The log rides in checkpoints, so
+//!   [`Driver::resume_from`] replays a mutated run bitwise (see
+//!   docs/DRIVER.md "Controllers & determinism");
+//! * one entry point: [`Driver::run`] is the only marching loop. What a run
+//!   can do beyond observing — act, checkpoint, recover — is attached on
+//!   the builder, where the solver's trait bounds are checked at compile
+//!   time (the capability table on [`Driver`]). Each rank of a decomposed
+//!   run marches through the same loop ([`crate::parallel`]).
 //!
 //! ```
 //! use igr_app::cases;
@@ -47,10 +52,10 @@
 //! # let _ = summary;
 //! ```
 
-use crate::actions::{installed_jet_state, Action, ActionLog, Actuate};
-use crate::checkpoint::{Checkpoint, CheckpointError, CheckpointScalar};
+use crate::actions::{installed_jet_state, Action, ActionLog, Actuate, ActuateError};
+use crate::checkpoint::{Checkpoint, CheckpointError, CheckpointScalar, RankMeta};
 use crate::diagnostics::{sample_state, History, Sample};
-use crate::recovery::RecoveryLog;
+use crate::recovery::{InjectNan, RecoveryLog, RecoveryPolicy, Windows};
 use igr_core::solver::{BcGhostOps, GhostOps, RhsScheme, Solver, SolverError, StepInfo};
 use igr_core::IgrScheme;
 use igr_grid::Domain;
@@ -74,8 +79,10 @@ pub trait Steppable {
     fn time(&self) -> f64;
     /// Steps taken since construction (or since the restored checkpoint).
     fn steps_taken(&self) -> usize;
-    /// CFL-limited time step for the current state.
-    fn stable_dt(&self) -> f64;
+    /// CFL-limited time step the run takes next from the current state. On
+    /// a decomposed run this is the globally min-reduced dt — a collective,
+    /// hence `&mut self`: every rank calls it the same number of times.
+    fn stable_dt(&mut self) -> f64;
     /// The pinned time step, if any.
     fn fixed_dt(&self) -> Option<f64>;
     /// Pin (or unpin) the time step.
@@ -130,8 +137,8 @@ where
     fn steps_taken(&self) -> usize {
         Solver::steps_taken(self)
     }
-    fn stable_dt(&self) -> f64 {
-        Solver::stable_dt(self)
+    fn stable_dt(&mut self) -> f64 {
+        self.global_dt()
     }
     fn fixed_dt(&self) -> Option<f64> {
         self.fixed_dt
@@ -248,7 +255,7 @@ where
     fn steps_taken(&self) -> usize {
         SpeciesSolver::steps_taken(self)
     }
-    fn stable_dt(&self) -> f64 {
+    fn stable_dt(&mut self) -> f64 {
         SpeciesSolver::stable_dt(self)
     }
     fn fixed_dt(&self) -> Option<f64> {
@@ -367,6 +374,7 @@ pub enum Cadence {
 }
 
 /// Per-observer cadence bookkeeping.
+#[derive(Clone, Copy)]
 struct CadenceState {
     last_t: f64,
     last_wall: Instant,
@@ -420,7 +428,7 @@ pub enum DriverError {
     Action(String),
     /// [`StopCondition::DivergenceGuard`] tripped: the flow is blowing up
     /// (KE growth or positivity loss) even though every value is still
-    /// finite. Recoverable via [`Driver::run_recovered`].
+    /// finite. Recoverable under a [`Driver::recover`] policy.
     Diverged {
         /// Absolute step the guard tripped at.
         step: usize,
@@ -502,6 +510,7 @@ pub struct DiagnosticsObserver<'h> {
 }
 
 impl<'h> DiagnosticsObserver<'h> {
+    /// Record into `history`.
     pub fn new(history: &'h mut History) -> Self {
         DiagnosticsObserver { history }
     }
@@ -527,6 +536,7 @@ pub struct MetricsObserver<'h> {
 }
 
 impl<'h> MetricsObserver<'h> {
+    /// Record phase deltas into `history` (enables span recording).
     pub fn new(history: &'h mut History) -> Self {
         igr_obs::enable();
         // Deltas are measured against the registry as it stands now, not
@@ -668,6 +678,7 @@ pub struct VtkObserver {
 }
 
 impl VtkObserver {
+    /// Write `<dir>/<stem>_NNNNNN.vtk` snapshots titled `title`.
     pub fn new(dir: impl Into<PathBuf>, stem: impl Into<String>, title: impl Into<String>) -> Self {
         VtkObserver {
             dir: dir.into(),
@@ -936,25 +947,55 @@ pub struct RunSummary {
 
 type ProgressHook<'a, P> = Box<dyn FnMut(&P, &StepInfo) -> bool + 'a>;
 
+/// Why [`Driver::control`] and [`Driver::recover`] refuse each other.
+const CONTROL_VS_RECOVERY: &str =
+    "recovered runs do not support controllers (windows re-run on rollback)";
+
 /// Composable run-loop: observers + stop conditions + progress hook over
-/// any [`Probe`]-capable solver. Build with the fluent methods, then call
-/// [`Driver::run`] (repeatedly, if marching in segments — cadence state
-/// resets per call, stop conditions persist).
+/// any [`Probe`]-capable solver, plus the capabilities attached on the
+/// builder — each checked against the solver's traits where it is attached,
+/// so [`Driver::run`] is the one way to march:
+///
+/// | builder | needs | adds |
+/// |---|---|---|
+/// | [`Driver::control`] | [`Actuate`] | controllers whose actions apply at step boundaries and are logged |
+/// | [`Driver::checkpoint_to`] | [`Checkpointable`] | the restart file (autosave cadence, `RequestCheckpoint`) with both logs embedded |
+/// | [`Driver::recover`] | [`Checkpointable`] | snapshot ring, rollback and dt backoff on divergence |
+/// | [`Driver::inject_nan_at`] | [`InjectNan`] | the chaos hook recovery tests trip on |
+/// | [`Driver::resume_from`] | [`Checkpointable`] + [`Actuate`] | re-entry from a restart file |
+///
+/// Build with the fluent methods, then call [`Driver::run`] (repeatedly, if
+/// marching in segments — cadence state resets per call, stop conditions
+/// and both logs persist).
 pub struct Driver<'a, P: ?Sized> {
     observers: Vec<(Cadence, Box<dyn Observer<P> + 'a>)>,
-    pub(crate) controllers: Vec<(Cadence, Box<dyn Controller<P> + 'a>)>,
-    pub(crate) stops: Vec<StopCondition>,
+    stops: Vec<StopCondition>,
     progress: Option<(Cadence, ProgressHook<'a, P>)>,
-    /// Controlled-run checkpoint target: `(path, optional autosave cadence)`.
-    pub(crate) checkpoint: Option<(PathBuf, Option<Cadence>)>,
-    pub(crate) action_log: ActionLog,
-    /// Rollbacks performed so far (filled by `run_recovered`, seeded on
-    /// resume so the dt schedule replays bit-exactly).
+    controllers: Vec<(Cadence, Box<dyn Controller<P> + 'a>)>,
+    /// The solver's [`Actuate::actuate`], captured by [`Driver::control`].
+    actuate: Option<ActuateFn<P>>,
+    /// The restart file: `(path, optional autosave cadence)`.
+    checkpoint: Option<(PathBuf, Option<Cadence>)>,
+    /// The solver's [`Checkpointable::capture`], captured by
+    /// [`Driver::checkpoint_to`] / [`Driver::recover`].
+    capture: Option<fn(&P) -> Checkpoint>,
+    /// The recovery policy and the solver's [`Checkpointable::restore`].
+    pub(crate) recovery: Option<(RecoveryPolicy, RestoreFn<P>)>,
+    /// Chaos hook: the absolute step to poison at and the solver's
+    /// [`InjectNan::inject_nan`].
+    pub(crate) nan_injection: Option<(usize, InjectFn<P>)>,
+    /// Set by the decomposed launcher: every snapshot this driver writes is
+    /// one rank's shard and carries the `IGRRANK` trailer.
+    pub(crate) rank_meta: Option<RankMeta>,
+    action_log: ActionLog,
     pub(crate) recovery_log: RecoveryLog,
-    /// Chaos hook: poison one cell with NaN at this absolute step boundary
-    /// (once, while the recovery log is empty).
-    pub(crate) nan_injection: Option<usize>,
 }
+
+// The solver capabilities the builder methods capture, as plain fn pointers
+// — which is what lets `run` ask for nothing beyond `Probe`.
+type ActuateFn<P> = fn(&mut P, &Action, f64) -> Result<(), ActuateError>;
+type RestoreFn<P> = fn(&mut P, &Checkpoint) -> Result<(), CheckpointError>;
+type InjectFn<P> = fn(&mut P);
 
 impl<'a, P: ?Sized> Default for Driver<'a, P> {
     fn default() -> Self {
@@ -963,16 +1004,22 @@ impl<'a, P: ?Sized> Default for Driver<'a, P> {
 }
 
 impl<'a, P: ?Sized> Driver<'a, P> {
+    /// A driver with nothing attached: add at least one terminating stop
+    /// condition before [`Driver::run`].
     pub fn new() -> Self {
         Driver {
             observers: Vec::new(),
-            controllers: Vec::new(),
             stops: Vec::new(),
             progress: None,
+            controllers: Vec::new(),
+            actuate: None,
             checkpoint: None,
+            capture: None,
+            recovery: None,
+            nan_injection: None,
+            rank_meta: None,
             action_log: ActionLog::new(),
             recovery_log: RecoveryLog::new(),
-            nan_injection: None,
         }
     }
 
@@ -983,42 +1030,100 @@ impl<'a, P: ?Sized> Driver<'a, P> {
         self
     }
 
-    /// Attach a controller at a cadence (requires [`Driver::run_controlled`]).
-    /// Controllers fire after all observers and the progress hook, in
-    /// attachment order; their actions apply at the step boundary, before
-    /// the next step begins. Use [`Cadence::EverySteps`] (absolute-step
+    /// Attach a controller at a cadence. Controllers fire after all
+    /// observers and the progress hook, in attachment order; their actions
+    /// apply **at the step boundary**, before the next step begins —
+    /// [`Action::RequestCheckpoint`] snapshots to the
+    /// [`Driver::checkpoint_to`] path, every other action goes through
+    /// [`Actuate::actuate`] — and each applied action is appended to the
+    /// driver's [`ActionLog`]. Use [`Cadence::EverySteps`] (absolute-step
     /// aligned) for resume-deterministic control.
-    pub fn control(mut self, cadence: Cadence, ctrl: impl Controller<P> + 'a) -> Self {
+    ///
+    /// Panics if a recovery policy is attached: windows re-run on rollback
+    /// and would apply a controller's actions twice.
+    pub fn control(mut self, cadence: Cadence, ctrl: impl Controller<P> + 'a) -> Self
+    where
+        P: Actuate,
+    {
         cadence.validate();
+        assert!(self.recovery.is_none(), "{CONTROL_VS_RECOVERY}");
         self.controllers.push((cadence, Box::new(ctrl)));
+        self.actuate = Some(P::actuate);
         self
     }
 
-    /// Set the restart file controlled runs write: controller
-    /// [`Action::RequestCheckpoint`]s snapshot here, and with
-    /// `autosave = Some(cadence)` the driver also autosaves periodically.
-    /// Both paths embed the current [`ActionLog`] and go through the one
-    /// atomic writer ([`Checkpoint::save_atomic`]), so they can never race
-    /// each other on the file.
-    pub fn checkpoint_to(mut self, path: impl Into<PathBuf>, autosave: Option<Cadence>) -> Self {
+    /// Set the restart file: controller [`Action::RequestCheckpoint`]s
+    /// snapshot here, with `autosave = Some(cadence)` the driver also saves
+    /// periodically, and a recovered run saves at every healthy window
+    /// boundary (the cadence is then unused). Every snapshot embeds the
+    /// current [`ActionLog`] and [`RecoveryLog`] — empty logs add no bytes —
+    /// and goes through the one atomic writer ([`Checkpoint::save_atomic`]),
+    /// so writers can never race each other on the file.
+    pub fn checkpoint_to(mut self, path: impl Into<PathBuf>, autosave: Option<Cadence>) -> Self
+    where
+        P: Checkpointable,
+    {
         if let Some(c) = &autosave {
             c.validate();
         }
         self.checkpoint = Some((path.into(), autosave));
+        self.capture = Some(P::capture);
         self
     }
 
-    /// Seed the action log (builder-style resume path: callers that restore
-    /// and replay a snapshot themselves hand its log over here, so
-    /// subsequent autosaves and [`Action::RequestCheckpoint`]s carry the
-    /// full history).
-    pub fn seed_actions(mut self, log: ActionLog) -> Self {
-        self.action_log = log;
+    /// Heal divergence instead of failing: the run proceeds in windows
+    /// bounded by the policy's snapshot cadence; a trip (solver error, NaN
+    /// scan hit, [`StopCondition::DivergenceGuard`]) rolls back to the last
+    /// healthy snapshot and re-runs the window at a backed-off fixed dt.
+    /// See [`crate::recovery`] for the contract.
+    ///
+    /// Panics on a degenerate policy, or if controllers are attached.
+    pub fn recover(mut self, policy: RecoveryPolicy) -> Self
+    where
+        P: Checkpointable,
+    {
+        policy.validate();
+        assert!(self.controllers.is_empty(), "{CONTROL_VS_RECOVERY}");
+        self.recovery = Some((policy, P::restore));
+        self.capture = Some(P::capture);
         self
     }
 
-    /// The actions applied so far (across `run_controlled` calls, plus any
-    /// seeded by [`Driver::resume_controlled`]).
+    /// Chaos-engineering hook: poison one cell with NaN when a recovered
+    /// run first reaches absolute step `step` (an injection, not physics —
+    /// see [`InjectNan`]). Fires once, at a window boundary of a
+    /// [`Driver::recover`] run, and only while the recovery log is empty,
+    /// so resumed mid-recovery runs stay bitwise.
+    pub fn inject_nan_at(mut self, step: usize) -> Self
+    where
+        P: InjectNan,
+    {
+        self.nan_injection = Some((step, P::inject_nan));
+        self
+    }
+
+    /// Re-enter an interrupted run from a loaded restart file: restore the
+    /// conserved state (bit-exact), Σ, march clock and pinned dt — validated
+    /// before anything is written, so an error leaves `sys` untouched —
+    /// then **replay** the embedded action log against the freshly built
+    /// solver (checkpoints carry fields, not boundary conditions: the replay
+    /// reconstructs engine knock-outs, gimbal ramps and backpressure changes
+    /// from their recorded application times) and seed both of this
+    /// driver's logs, so later snapshots carry the full history and a
+    /// recovered run replays the identical dt schedule.
+    pub fn resume_from(&mut self, sys: &mut P, ck: &Checkpoint) -> Result<(), DriverError>
+    where
+        P: Checkpointable + Actuate,
+    {
+        sys.restore(ck)?;
+        crate::actions::replay(&ck.actions, sys).map_err(|e| DriverError::Action(e.to_string()))?;
+        self.action_log = ck.actions.clone();
+        self.recovery_log = ck.recoveries.clone();
+        Ok(())
+    }
+
+    /// The actions applied so far (across `run` calls, plus any seeded by
+    /// [`Driver::resume_from`]).
     pub fn action_log(&self) -> &ActionLog {
         &self.action_log
     }
@@ -1028,25 +1133,8 @@ impl<'a, P: ?Sized> Driver<'a, P> {
         std::mem::take(&mut self.action_log)
     }
 
-    /// Seed the recovery log (resume path for recovered runs: hand over the
-    /// checkpoint's embedded log so [`Driver::run_recovered`] replays the
-    /// identical dt schedule and does not re-fire the chaos injection).
-    pub fn seed_recoveries(mut self, log: RecoveryLog) -> Self {
-        self.recovery_log = log;
-        self
-    }
-
-    /// Chaos-engineering hook: poison one cell with NaN when the run first
-    /// reaches absolute step `step` (an injection, not physics — see
-    /// [`crate::recovery::InjectNan`]). Fires once, and only while the
-    /// recovery log is empty, so resumed mid-recovery runs stay bitwise.
-    pub fn inject_nan_at(mut self, step: usize) -> Self {
-        self.nan_injection = Some(step);
-        self
-    }
-
-    /// The rollbacks performed so far (across `run_recovered` calls, plus
-    /// any seeded for resume).
+    /// The rollbacks performed so far (across `run` calls, plus any seeded
+    /// by [`Driver::resume_from`]).
     pub fn recovery_log(&self) -> &RecoveryLog {
         &self.recovery_log
     }
@@ -1097,134 +1185,83 @@ impl<'a, P: ?Sized> Driver<'a, P> {
         self
     }
 
-    /// Restore `sys` from a restart file: conserved state (bit-exact), Σ,
-    /// march clock, and pinned dt. Returns the loaded snapshot so callers
-    /// can inspect `t`/`step`.
-    pub fn resume_from(sys: &mut P, path: impl AsRef<Path>) -> Result<Checkpoint, DriverError>
-    where
-        P: Checkpointable,
-    {
-        let ck = Checkpoint::load(path)?;
-        sys.restore(&ck)?;
-        Ok(ck)
+    /// A full snapshot of `sys`: state plus both logs (and the rank trailer
+    /// for a decomposed run's shard).
+    pub(crate) fn snapshot(&self, sys: &P) -> Checkpoint {
+        let capture = self
+            .capture
+            .expect("checkpoint_to/recover captured the solver's capture fn");
+        let mut ck = capture(sys)
+            .with_actions(self.action_log.clone())
+            .with_recoveries(self.recovery_log.clone());
+        ck.rank_meta = self.rank_meta;
+        ck
     }
 
-    /// Resume a *controlled* run: restore the snapshot, then **replay** its
-    /// embedded action log against the freshly built solver (checkpoints
-    /// carry fields/Σ/clock but not boundary conditions — the replay
-    /// reconstructs engine knock-outs, gimbal ramps, and backpressure
-    /// changes bit-identically from their recorded application times), and
-    /// seed this driver's log so subsequent snapshots carry the full
-    /// history. Returns the loaded snapshot.
-    pub fn resume_controlled(
+    /// Write `ck` to the restart file, if one is configured.
+    pub(crate) fn save(&self, ck: &Checkpoint) -> Result<(), DriverError> {
+        if let Some((path, _)) = &self.checkpoint {
+            ck.save_atomic(path)?;
+        }
+        Ok(())
+    }
+
+    /// Apply one action at the boundary after absolute step `step` (time
+    /// `t`) and append it to the log.
+    pub(crate) fn apply(
         &mut self,
         sys: &mut P,
-        path: impl AsRef<Path>,
-    ) -> Result<Checkpoint, DriverError>
+        action: &Action,
+        step: usize,
+        t: f64,
+    ) -> Result<(), DriverError> {
+        if matches!(action, Action::RequestCheckpoint) {
+            if self.checkpoint.is_none() {
+                return Err(DriverError::Action(
+                    "RequestCheckpoint needs a checkpoint_to path".into(),
+                ));
+            }
+            // Record the request BEFORE capturing, so the snapshot's
+            // embedded log covers it and a resumed run's log matches the
+            // uninterrupted run's.
+            self.action_log.record(step as u64, t, action.clone());
+            return self.save(&self.snapshot(sys));
+        }
+        let actuate = self.actuate.expect("control() captured the actuator");
+        actuate(sys, action, t).map_err(|e| DriverError::Action(e.to_string()))?;
+        self.action_log.record(step as u64, t, action.clone());
+        Ok(())
+    }
+
+    /// The pre-step termination check (a zero-step run is legal).
+    fn stop_due(&self, sys: &P, m: &March) -> Option<StopReason>
     where
-        P: Checkpointable + Actuate,
+        P: Steppable,
     {
-        let ck = Checkpoint::load(path)?;
-        sys.restore(&ck)?;
-        crate::actions::replay(&ck.actions, sys).map_err(|e| DriverError::Action(e.to_string()))?;
-        self.action_log = ck.actions.clone();
-        self.recovery_log = ck.recoveries.clone();
-        Ok(ck)
+        if m.t_end.is_some_and(|te| sys.time() >= te) {
+            return Some(StopReason::TimeReached);
+        }
+        self.stops.iter().find_map(|s| match s {
+            StopCondition::MaxSteps(n) if m.steps >= *n => Some(StopReason::MaxSteps),
+            StopCondition::StepReached(n) if sys.steps_taken() >= *n => {
+                Some(StopReason::StepReached)
+            }
+            StopCondition::WallClock(d) if m.started.elapsed() >= *d => Some(StopReason::WallClock),
+            _ => None,
+        })
     }
 
     /// March `sys` until a stop condition holds. Every driver needs at
     /// least one of [`StopCondition::TimeReached`], [`StopCondition::MaxSteps`],
-    /// or [`StopCondition::WallClock`] — guards alone would loop forever.
+    /// [`StopCondition::StepReached`], [`StopCondition::WallClock`] or
+    /// [`StopCondition::SteadyState`] — guards alone would loop forever.
     ///
-    /// Read-only entry point: panics if controllers are attached (they need
-    /// [`Driver::run_controlled`], whose solver bound can apply actions).
+    /// Each step: observers (read-only), the progress hook, then
+    /// controllers, whose actions apply at the step boundary; the autosave
+    /// cadence; then the guards. With a [`Driver::recover`] policy a
+    /// tripped guard or solver error rolls the window back instead of
+    /// ending the run.
     pub fn run(&mut self, sys: &mut P) -> Result<RunSummary, DriverError>
-    where
-        P: Probe,
-    {
-        assert!(
-            self.controllers.is_empty(),
-            "controllers attached: use run_controlled (the solver must implement Actuate + Checkpointable)"
-        );
-        self.run_core(
-            sys,
-            &mut |_, _, _, _| unreachable!("no controllers in run()"),
-            &mut |_, _| Ok(()),
-        )
-    }
-
-    /// March `sys` with the full two-phase loop: observers (read-only),
-    /// then controllers, whose returned [`Action`]s are applied **at the
-    /// step boundary** in order — [`Action::RequestCheckpoint`] snapshots
-    /// to the [`Driver::checkpoint_to`] path with the log embedded, every
-    /// other action goes through [`Actuate::actuate`] — and appended to the
-    /// driver's [`ActionLog`]. With an autosave cadence configured, the
-    /// driver also snapshots periodically (same path, same atomic writer).
-    pub fn run_controlled(&mut self, sys: &mut P) -> Result<RunSummary, DriverError>
-    where
-        P: Probe + Actuate + Checkpointable,
-    {
-        let ck_path = self.checkpoint.as_ref().map(|(p, _)| p.clone());
-        let apply_path = ck_path.clone();
-        // Recovery log is immutable during a controlled run; clone it into
-        // the save closures so resumed-then-controlled runs keep carrying
-        // their rollback history (empty log ⇒ no trailer ⇒ unchanged bytes).
-        let rec_log = self.recovery_log.clone();
-        let rec_log_auto = rec_log.clone();
-        self.run_core(
-            sys,
-            &mut move |sys: &mut P, action: &Action, info: &StepInfo, log: &mut ActionLog| {
-                match action {
-                    Action::RequestCheckpoint => {
-                        let path = apply_path.as_ref().ok_or_else(|| {
-                            DriverError::Action(
-                                "RequestCheckpoint needs a checkpoint_to path".into(),
-                            )
-                        })?;
-                        // Record the request BEFORE capturing, so the
-                        // snapshot's embedded log covers it and a resumed
-                        // run's log matches the uninterrupted run's.
-                        log.record(info.step as u64, info.t, Action::RequestCheckpoint);
-                        sys.capture()
-                            .with_actions(log.clone())
-                            .with_recoveries(rec_log.clone())
-                            .save_atomic(path)?;
-                    }
-                    other => {
-                        sys.actuate(other, info.t)
-                            .map_err(|e| DriverError::Action(e.to_string()))?;
-                        log.record(info.step as u64, info.t, other.clone());
-                    }
-                }
-                Ok(())
-            },
-            &mut move |sys: &mut P, log: &ActionLog| {
-                if let Some(path) = ck_path.as_ref() {
-                    sys.capture()
-                        .with_actions(log.clone())
-                        .with_recoveries(rec_log_auto.clone())
-                        .save_atomic(path)?;
-                }
-                Ok(())
-            },
-        )
-    }
-
-    /// The shared loop behind [`Driver::run`] and [`Driver::run_controlled`]:
-    /// `apply` handles one controller action, `autosave` writes the
-    /// periodic driver-level snapshot (both are no-ops / unreachable for
-    /// read-only runs).
-    pub(crate) fn run_core(
-        &mut self,
-        sys: &mut P,
-        apply: &mut dyn FnMut(
-            &mut P,
-            &Action,
-            &StepInfo,
-            &mut ActionLog,
-        ) -> Result<(), DriverError>,
-        autosave: &mut dyn FnMut(&mut P, &ActionLog) -> Result<(), DriverError>,
-    ) -> Result<RunSummary, DriverError>
     where
         P: Probe,
     {
@@ -1239,213 +1276,182 @@ impl<'a, P: ?Sized> Driver<'a, P> {
             )),
             "driver needs a terminating stop condition"
         );
-        let wall0 = Instant::now();
-        let now = Instant::now();
-        let mut cadences: Vec<CadenceState> = self
-            .observers
-            .iter()
-            .map(|_| CadenceState {
-                last_t: sys.time(),
-                last_wall: now,
-            })
-            .collect();
-        let mut progress_state = CadenceState {
+        let started = Instant::now();
+        let mark = CadenceState {
             last_t: sys.time(),
-            last_wall: now,
+            last_wall: started,
         };
-        let mut ctrl_states: Vec<CadenceState> = self
-            .controllers
-            .iter()
-            .map(|_| CadenceState {
-                last_t: sys.time(),
-                last_wall: now,
-            })
-            .collect();
-        let mut autosave_state = CadenceState {
-            last_t: sys.time(),
-            last_wall: now,
+        let mut march = March {
+            started,
+            observers: vec![mark; self.observers.len()],
+            controllers: vec![mark; self.controllers.len()],
+            progress: mark,
+            autosave: mark,
+            // The nearest t_end across TimeReached conditions bounds every dt.
+            t_end: self
+                .stops
+                .iter()
+                .filter_map(|s| match s {
+                    StopCondition::TimeReached(t) => Some(*t),
+                    _ => None,
+                })
+                .reduce(f64::min),
+            last_ke: None,
+            last_div_ke: None,
+            steps: 0,
         };
-        // The nearest t_end across TimeReached conditions bounds every dt.
-        let t_end = self
-            .stops
-            .iter()
-            .filter_map(|s| match s {
-                StopCondition::TimeReached(t) => Some(*t),
-                _ => None,
-            })
-            .fold(None::<f64>, |acc, t| Some(acc.map_or(t, |a: f64| a.min(t))));
-        let mut last_ke: Option<f64> = None;
-        let mut last_div_ke: Option<f64> = None;
-        let mut steps_this_run = 0usize;
+        let mut windows = Windows::default();
 
-        let finish = |observers: &mut Vec<(Cadence, Box<dyn Observer<P> + 'a>)>,
-                      sys: &P,
-                      stop: StopReason,
-                      steps: usize,
-                      wall0: Instant|
-         -> Result<RunSummary, DriverError> {
-            for (_, obs) in observers.iter_mut() {
-                obs.on_finish(sys)?;
+        let stop = loop {
+            let due = self.stop_due(sys, &march);
+            // A recovered run pauses at every window boundary — and once
+            // more wherever it ends — to scan, snapshot and autosave; a
+            // boundary scan that trips rolls back and marches on.
+            if self.recovery.is_some()
+                && windows.at_boundary(sys.steps_taken(), due.is_some())
+                && self.window_boundary(sys, &mut windows, &mut march)?
+            {
+                continue;
             }
-            Ok(RunSummary {
-                steps,
-                t: sys.time(),
-                stop,
-                wall_s: wall0.elapsed().as_secs_f64(),
-            })
-        };
-
-        loop {
-            // Pre-step termination checks (a zero-step run is legal).
-            if let Some(te) = t_end {
-                if sys.time() >= te {
-                    return finish(
-                        &mut self.observers,
-                        sys,
-                        StopReason::TimeReached,
-                        steps_this_run,
-                        wall0,
-                    );
+            if let Some(stop) = due {
+                break stop;
+            }
+            match self.advance(sys, &mut march) {
+                Ok(None) => {}
+                Ok(Some(stop)) => break stop,
+                Err(DriverError::Solver(_) | DriverError::Diverged { .. })
+                    if self.recovery.is_some() =>
+                {
+                    self.heal(sys, &mut windows, &mut march)?;
                 }
+                Err(e) => return Err(e),
             }
-            for s in &self.stops {
-                match s {
-                    StopCondition::MaxSteps(n) if steps_this_run >= *n => {
-                        return finish(
-                            &mut self.observers,
-                            sys,
-                            StopReason::MaxSteps,
-                            steps_this_run,
-                            wall0,
-                        );
-                    }
-                    StopCondition::StepReached(n) if sys.steps_taken() >= *n => {
-                        return finish(
-                            &mut self.observers,
-                            sys,
-                            StopReason::StepReached,
-                            steps_this_run,
-                            wall0,
-                        );
-                    }
-                    StopCondition::WallClock(d) if wall0.elapsed() >= *d => {
-                        return finish(
-                            &mut self.observers,
-                            sys,
-                            StopReason::WallClock,
-                            steps_this_run,
-                            wall0,
-                        );
-                    }
-                    _ => {}
-                }
-            }
+        };
+        for (_, obs) in self.observers.iter_mut() {
+            obs.on_finish(sys)?;
+        }
+        Ok(RunSummary {
+            steps: march.steps,
+            t: sys.time(),
+            stop,
+            wall_s: started.elapsed().as_secs_f64(),
+        })
+    }
 
-            // Step, clipping dt so a TimeReached run never overshoots
-            // (identical arithmetic to the old `run_until`: the pinned-or-CFL
-            // dt is min'ed against the remaining time).
-            let info = if let Some(te) = t_end {
-                let prev_fixed = sys.fixed_dt();
-                let dt = prev_fixed.unwrap_or_else(|| sys.stable_dt());
-                sys.set_fixed_dt(Some(dt.min(te - sys.time())));
-                let r = sys.step();
-                sys.set_fixed_dt(prev_fixed);
-                r?
-            } else {
-                sys.step()?
+    /// One iteration of the march: the step (clipped so a `TimeReached` run
+    /// never overshoots), then observers, the progress hook, controllers,
+    /// the autosave cadence and the guards. `Ok(Some(_))` ends the run.
+    fn advance(&mut self, sys: &mut P, m: &mut March) -> Result<Option<StopReason>, DriverError>
+    where
+        P: Probe,
+    {
+        // Identical arithmetic to the old `run_until`: the pinned-or-CFL dt
+        // is min'ed against the remaining time.
+        let info = if let Some(te) = m.t_end {
+            let prev_fixed = sys.fixed_dt();
+            let dt = match prev_fixed {
+                Some(dt) => dt,
+                None => sys.stable_dt(),
             };
-            steps_this_run += 1;
+            sys.set_fixed_dt(Some(dt.min(te - sys.time())));
+            let r = sys.step();
+            sys.set_fixed_dt(prev_fixed);
+            r?
+        } else {
+            sys.step()?
+        };
+        m.steps += 1;
 
-            // Observers fire after the step.
-            for ((cadence, obs), state) in self.observers.iter_mut().zip(&mut cadences) {
-                if cadence.fires(state, &info) {
-                    obs.on_step(sys, &info)?;
-                }
-            }
-            if let Some((cadence, hook)) = &mut self.progress {
-                if cadence.fires(&mut progress_state, &info) && !hook(sys, &info) {
-                    return finish(
-                        &mut self.observers,
-                        sys,
-                        StopReason::Aborted,
-                        steps_this_run,
-                        wall0,
-                    );
-                }
-            }
-
-            // Phase two: controllers observe, then their actions apply at
-            // this step boundary (before the next step begins) and are
-            // appended to the log.
-            if !self.controllers.is_empty() {
-                let mut pending: Vec<Action> = Vec::new();
-                for ((cadence, ctrl), state) in self.controllers.iter_mut().zip(&mut ctrl_states) {
-                    if cadence.fires(state, &info) {
-                        pending.extend(ctrl.control(sys, &info));
-                    }
-                }
-                for action in &pending {
-                    apply(sys, action, &info, &mut self.action_log)?;
-                }
-            }
-            if let Some((_, Some(cadence))) = &self.checkpoint {
-                if cadence.fires(&mut autosave_state, &info) {
-                    autosave(sys, &self.action_log)?;
-                }
-            }
-
-            // Post-step guards and steady-state detection.
-            for s in &self.stops {
-                match s {
-                    StopCondition::NanGuard { every } if info.step % every == 0 => {
-                        if let Some((var, pos)) = sys.find_non_finite() {
-                            return Err(SolverError::NonFinite {
-                                step: info.step,
-                                var,
-                                pos,
-                            }
-                            .into());
-                        }
-                    }
-                    StopCondition::SteadyState { every, tol } if info.step % every == 0 => {
-                        let ke = sys.probe().kinetic_energy;
-                        if let Some(prev) = last_ke {
-                            let rel = (ke - prev).abs() / prev.abs().max(f64::MIN_POSITIVE);
-                            if rel < *tol {
-                                return finish(
-                                    &mut self.observers,
-                                    sys,
-                                    StopReason::SteadyState,
-                                    steps_this_run,
-                                    wall0,
-                                );
-                            }
-                        }
-                        last_ke = Some(ke);
-                    }
-                    StopCondition::DivergenceGuard { every, max_growth }
-                        if info.step % every == 0 =>
-                    {
-                        let sample = sys.probe();
-                        let ke = sample.kinetic_energy;
-                        let blown = !ke.is_finite()
-                            || !sample.min_rho.is_finite()
-                            || sample.min_rho <= 0.0
-                            || matches!(last_div_ke, Some(prev) if prev > 0.0 && ke > prev * max_growth);
-                        if blown {
-                            return Err(DriverError::Diverged {
-                                step: info.step,
-                                kinetic_energy: ke,
-                                prev: last_div_ke.unwrap_or(f64::NAN),
-                            });
-                        }
-                        last_div_ke = Some(ke);
-                    }
-                    _ => {}
-                }
+        for ((cadence, obs), state) in self.observers.iter_mut().zip(&mut m.observers) {
+            if cadence.fires(state, &info) {
+                obs.on_step(sys, &info)?;
             }
         }
+        if let Some((cadence, hook)) = &mut self.progress {
+            if cadence.fires(&mut m.progress, &info) && !hook(sys, &info) {
+                return Ok(Some(StopReason::Aborted));
+            }
+        }
+        // Phase two: controllers observe, then their actions apply at this
+        // step boundary (before the next step begins).
+        if !self.controllers.is_empty() {
+            let mut pending: Vec<Action> = Vec::new();
+            for ((cadence, ctrl), state) in self.controllers.iter_mut().zip(&mut m.controllers) {
+                if cadence.fires(state, &info) {
+                    pending.extend(ctrl.control(sys, &info));
+                }
+            }
+            for action in &pending {
+                self.apply(sys, action, info.step, info.t)?;
+            }
+        }
+        // A recovered run saves at its window boundaries instead.
+        if let (Some((_, Some(cadence))), false) = (&self.checkpoint, self.recovery.is_some()) {
+            if cadence.fires(&mut m.autosave, &info) {
+                self.save(&self.snapshot(sys))?;
+            }
+        }
+
+        // Post-step guards and steady-state detection.
+        for s in &self.stops {
+            match s {
+                StopCondition::NanGuard { every } if info.step % every == 0 => {
+                    if let Some((var, pos)) = sys.find_non_finite() {
+                        return Err(SolverError::NonFinite {
+                            step: info.step,
+                            var,
+                            pos,
+                        }
+                        .into());
+                    }
+                }
+                StopCondition::SteadyState { every, tol } if info.step % every == 0 => {
+                    let ke = sys.probe().kinetic_energy;
+                    if let Some(prev) = m.last_ke {
+                        let rel = (ke - prev).abs() / prev.abs().max(f64::MIN_POSITIVE);
+                        if rel < *tol {
+                            return Ok(Some(StopReason::SteadyState));
+                        }
+                    }
+                    m.last_ke = Some(ke);
+                }
+                StopCondition::DivergenceGuard { every, max_growth } if info.step % every == 0 => {
+                    let sample = sys.probe();
+                    let ke = sample.kinetic_energy;
+                    let blown = !ke.is_finite()
+                        || !sample.min_rho.is_finite()
+                        || sample.min_rho <= 0.0
+                        || matches!(m.last_div_ke, Some(prev) if prev > 0.0 && ke > prev * max_growth);
+                    if blown {
+                        return Err(DriverError::Diverged {
+                            step: info.step,
+                            kinetic_energy: ke,
+                            prev: m.last_div_ke.unwrap_or(f64::NAN),
+                        });
+                    }
+                    m.last_div_ke = Some(ke);
+                }
+                _ => {}
+            }
+        }
+        Ok(None)
     }
+}
+
+/// The per-`run` bookkeeping of the march: the start time, cadence marks,
+/// the clipping bound, what the guards last saw, and the steps taken so far.
+pub(crate) struct March {
+    started: Instant,
+    observers: Vec<CadenceState>,
+    controllers: Vec<CadenceState>,
+    progress: CadenceState,
+    autosave: CadenceState,
+    t_end: Option<f64>,
+    /// Kinetic energy at the previous [`StopCondition::SteadyState`] probe.
+    pub(crate) last_ke: Option<f64>,
+    /// Kinetic energy at the previous [`StopCondition::DivergenceGuard`] probe.
+    pub(crate) last_div_ke: Option<f64>,
+    steps: usize,
 }
 
 #[cfg(test)]
@@ -1458,6 +1464,13 @@ mod tests {
         let dir = std::env::temp_dir().join("igr_driver_tests");
         std::fs::create_dir_all(&dir).unwrap();
         dir.join(name)
+    }
+
+    /// Load the restart file at `path` and re-enter `sys` from it.
+    fn resume<P: Checkpointable + Actuate>(sys: &mut P, path: &Path) -> Checkpoint {
+        let ck = Checkpoint::load(path).unwrap();
+        Driver::new().resume_from(sys, &ck).unwrap();
+        ck
     }
 
     #[test]
@@ -1550,7 +1563,7 @@ mod tests {
         driver.run(&mut first).unwrap();
 
         let mut resumed = case.igr_solver::<f64, StoreF64>();
-        let ck = Driver::<_>::resume_from(&mut resumed, &path).unwrap();
+        let ck = resume(&mut resumed, &path);
         assert_eq!(ck.step, 6, "autosave overwrote down to the latest step");
         Driver::new().max_steps(4).run(&mut resumed).unwrap();
         assert_eq!(resumed.steps_taken(), 10);
@@ -1607,7 +1620,7 @@ mod tests {
             .observe(Cadence::EverySteps(4), CheckpointObserver::autosave(&path));
         driver.run(&mut first).unwrap();
         let mut resumed = make();
-        Driver::<_>::resume_from(&mut resumed, &path).unwrap();
+        resume(&mut resumed, &path);
         Driver::new().max_steps(4).run(&mut resumed).unwrap();
         assert_eq!(straight.q.max_diff(&resumed.q), 0.0);
     }
@@ -1625,7 +1638,7 @@ mod tests {
             .observe(Cadence::EverySteps(4), CheckpointObserver::autosave(&path));
         driver.run(&mut first).unwrap();
         let mut resumed = case.igr_solver::<f32, StoreF32>();
-        Driver::<_>::resume_from(&mut resumed, &path).unwrap();
+        resume(&mut resumed, &path);
         Driver::new().max_steps(4).run(&mut resumed).unwrap();
         assert_eq!(straight.q.max_diff(&resumed.q), 0.0);
     }
@@ -1763,7 +1776,7 @@ mod tests {
                 (4, Action::SetFixedDt { dt: Some(1e-4) }),
             ]),
         );
-        driver.run_controlled(&mut solver).unwrap();
+        driver.run(&mut solver).unwrap();
         let log = driver.action_log();
         assert_eq!(log.len(), 2);
         assert_eq!(log.records()[0].step, 2);
@@ -1774,22 +1787,8 @@ mod tests {
         assert_eq!(log.records()[1].step, 4);
         assert_eq!(solver.fixed_dt, Some(1e-4), "dt policy applied");
         // Run again: the same driver keeps accumulating into one log.
-        driver.run_controlled(&mut solver).unwrap();
+        driver.run(&mut solver).unwrap();
         assert_eq!(driver.action_log().len(), 2, "schedule already drained");
-    }
-
-    #[test]
-    fn run_panics_when_controllers_are_attached() {
-        let result = std::panic::catch_unwind(|| {
-            let case = cases::steepening_wave(32, 0.2);
-            let mut solver = case.igr_solver::<f64, StoreF64>();
-            Driver::new()
-                .max_steps(2)
-                .control(Cadence::EveryStep, ScheduledActions::new(vec![]))
-                .run(&mut solver)
-                .unwrap();
-        });
-        assert!(result.is_err(), "run() must direct to run_controlled");
     }
 
     #[test]
@@ -1819,7 +1818,7 @@ mod tests {
             .max_steps(10)
             .checkpoint_to(&path, None)
             .control(Cadence::EveryStep, schedule());
-        d1.run_controlled(&mut straight).unwrap();
+        d1.run(&mut straight).unwrap();
         assert_eq!(d1.action_log().len(), 4);
 
         // Resume from the step-5 snapshot with the tail of the schedule.
@@ -1830,8 +1829,8 @@ mod tests {
         let mut d2 = Driver::new()
             .max_steps(5)
             .control(Cadence::EveryStep, schedule().skip_through(5));
-        d2.resume_controlled(&mut resumed, &path).unwrap();
-        d2.run_controlled(&mut resumed).unwrap();
+        d2.resume_from(&mut resumed, &ck).unwrap();
+        d2.run(&mut resumed).unwrap();
 
         assert_eq!(resumed.steps_taken(), 10);
         assert_eq!(
@@ -1844,6 +1843,130 @@ mod tests {
             d1.action_log(),
             "resumed log matches the uninterrupted log bit-exactly"
         );
+    }
+
+    /// `checkpoint_to` is the one restart-file writer: with both logs empty
+    /// it must add no trailer, i.e. write the bytes `CheckpointObserver`
+    /// writes at the same step.
+    #[test]
+    fn checkpoint_to_with_empty_logs_matches_the_autosave_observer_bytes() {
+        let case = cases::steepening_wave(48, 0.25);
+        let (observed, driven) = (tmp("observer.ckpt"), tmp("checkpoint_to.ckpt"));
+        let mut a = case.igr_solver::<f64, StoreF64>();
+        Driver::new()
+            .max_steps(6)
+            .observe(
+                Cadence::EverySteps(3),
+                CheckpointObserver::autosave(&observed),
+            )
+            .run(&mut a)
+            .unwrap();
+        let mut b = case.igr_solver::<f64, StoreF64>();
+        Driver::new()
+            .max_steps(6)
+            .checkpoint_to(&driven, Some(Cadence::EverySteps(3)))
+            .run(&mut b)
+            .unwrap();
+        assert_eq!(Checkpoint::load(&driven).unwrap().step, 6);
+        assert_eq!(
+            std::fs::read(&observed).unwrap(),
+            std::fs::read(&driven).unwrap(),
+            "empty logs must add no bytes"
+        );
+    }
+
+    /// A restart file carrying all three trailers (`ACTLOG` + `RECLOG` +
+    /// `IGRRANK`, written by the unchanged encoder) re-enters through the
+    /// one resume method: state restored, actions replayed, both logs
+    /// seeded, and the finished run bitwise equal to the uninterrupted one.
+    #[test]
+    fn resume_from_takes_a_three_trailer_file_and_finishes_bitwise() {
+        use crate::recovery::RecoveryRecord;
+        let case = cases::engine_row_2d(48, 3, crate::jets::JetConditions::mach10());
+        let schedule = || {
+            ScheduledActions::new(vec![
+                (2, Action::EngineOut { engine: 1 }),
+                (8, Action::SetBackpressure { pressure: 0.6 }),
+            ])
+        };
+        let mut straight = case.igr_solver::<f64, StoreF64>();
+        let mut d = Driver::new()
+            .max_steps(10)
+            .control(Cadence::EveryStep, schedule());
+        d.run(&mut straight).unwrap();
+
+        let mut first = case.igr_solver::<f64, StoreF64>();
+        let mut d1 = Driver::new()
+            .max_steps(6)
+            .control(Cadence::EveryStep, schedule());
+        d1.run(&mut first).unwrap();
+        let mut rollbacks = RecoveryLog::new();
+        rollbacks.push(RecoveryRecord {
+            trip_step: 3,
+            rollback_step: 2,
+            rollback_t: 0.125,
+            prev_dt: f64::NAN,
+            backoff_dt: 1e-4,
+            hold_until: 4,
+            retry: 1,
+        });
+        let meta = RankMeta {
+            rank: 0,
+            n_ranks: 1,
+            global: [96, 48, 1],
+            dims: [1, 1, 1],
+            offset: [0; 3],
+            extent: [96, 48, 1],
+        };
+        let path = tmp("three_trailers.ckpt");
+        first
+            .capture()
+            .with_actions(d1.take_action_log())
+            .with_recoveries(rollbacks.clone())
+            .with_rank_meta(meta)
+            .save(&path)
+            .unwrap();
+
+        let ck = Checkpoint::load(&path).unwrap();
+        assert_eq!((ck.step, ck.rank_meta), (6, Some(meta)));
+        let mut resumed = case.igr_solver::<f64, StoreF64>();
+        let mut d2 = Driver::new()
+            .max_steps(4)
+            .control(Cadence::EveryStep, schedule().skip_through(ck.step));
+        d2.resume_from(&mut resumed, &ck).unwrap();
+        assert_eq!(first.q.max_diff(&resumed.q), 0.0, "restore is bit-exact");
+        assert_eq!(d2.recovery_log(), &rollbacks, "recovery log seeded");
+        d2.run(&mut resumed).unwrap();
+        assert_eq!(straight.q.max_diff(&resumed.q), 0.0);
+        assert_eq!(d2.action_log(), d.action_log(), "action log seeded");
+    }
+
+    /// A controller and a recovery policy do not compose (windows re-run
+    /// and would double-apply actions): refused where the second of the two
+    /// is attached, in either order — not when the run starts.
+    #[test]
+    fn controller_plus_recovery_is_refused_at_attach_time() {
+        type S = Solver<f64, StoreF64, IgrScheme<f64, StoreF64>, BcGhostOps>;
+        let message = |attach: fn() -> Driver<'static, S>| {
+            let payload = std::panic::catch_unwind(attach).err().expect("must refuse");
+            payload.downcast_ref::<String>().cloned().unwrap()
+        };
+        let control_then_recover = || {
+            Driver::new()
+                .control(Cadence::EveryStep, ScheduledActions::new(vec![]))
+                .recover(RecoveryPolicy::default())
+        };
+        let recover_then_control = || {
+            Driver::new()
+                .recover(RecoveryPolicy::default())
+                .control(Cadence::EveryStep, ScheduledActions::new(vec![]))
+        };
+        for attach in [control_then_recover, recover_then_control] {
+            assert_eq!(
+                message(attach),
+                "recovered runs do not support controllers (windows re-run on rollback)"
+            );
+        }
     }
 
     #[test]
@@ -1863,7 +1986,7 @@ mod tests {
                 Cadence::EverySteps(5),
                 GimbalFeedbackController::with_gain(1.5),
             );
-        driver.run_controlled(&mut solver).unwrap();
+        driver.run(&mut solver).unwrap();
         let log = driver.action_log();
         let gimbal_cmds: Vec<_> = log
             .records()

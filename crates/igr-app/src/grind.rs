@@ -11,8 +11,11 @@ use std::time::Instant;
 pub struct GrindResult {
     /// Nanoseconds per cell per step (smaller is faster).
     pub ns_per_cell_step: f64,
+    /// Timed steps.
     pub steps: usize,
+    /// Interior cells of the measured grid.
     pub cells: usize,
+    /// Wall-clock seconds the timed steps took.
     pub wall_s: f64,
 }
 

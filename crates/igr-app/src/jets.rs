@@ -173,9 +173,13 @@ pub fn super_heavy_33(r_outer: f64) -> Vec<Engine> {
 /// zero-width shear layer.
 #[derive(Clone)]
 pub struct JetArrayInflow {
+    /// The engines of the array, in layout order (actions index into this).
     pub engines: Vec<Engine>,
+    /// Exit and ambient gas state shared by every engine.
     pub conditions: JetConditions,
+    /// The two in-plane coordinate indices of the inflow face.
     pub plane_dims: (usize, usize),
+    /// The coordinate index the jets flow along.
     pub flow_dim: usize,
     /// Shear-layer half-width in physical units.
     pub lip_width: f64,
@@ -284,6 +288,7 @@ pub struct GimbalSchedule {
 }
 
 impl GimbalSchedule {
+    /// A schedule through `(time, angles)` knots (sorted by time here).
     pub fn new(mut knots: Vec<(f64, [f64; 2])>) -> Self {
         assert!(!knots.is_empty(), "gimbal schedule needs at least one knot");
         knots.sort_by(|a, b| a.0.total_cmp(&b.0));
@@ -370,12 +375,14 @@ impl GimbalSchedule {
 /// gimbal from the base array.
 #[derive(Clone)]
 pub struct ScheduledJetInflow {
+    /// The array whose static gimbals apply where no schedule does.
     pub base: JetArrayInflow,
     /// `(engine index, schedule)` pairs.
     pub schedules: Vec<(usize, GimbalSchedule)>,
 }
 
 impl ScheduledJetInflow {
+    /// Attach `(engine index, schedule)` pairs to `base`.
     pub fn new(base: JetArrayInflow, schedules: Vec<(usize, GimbalSchedule)>) -> Self {
         for (i, _) in &schedules {
             assert!(

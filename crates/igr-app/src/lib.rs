@@ -35,6 +35,8 @@
 //! * [`vtk`] — legacy-VTK structured-points writer for 3-D visualization
 //!   (the Fig. 1 rendering path at laptop scale).
 
+#![deny(missing_docs)]
+
 pub mod actions;
 pub mod base;
 pub mod cases;

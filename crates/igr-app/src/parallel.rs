@@ -1,4 +1,8 @@
-//! The decomposed (multi-rank) solver driver.
+//! The decomposed (multi-rank) launcher.
+//!
+//! [`run_decomposed`] spawns the rank universe, settles the per-rank resume
+//! consensus, and gathers the result; the marching itself is the one
+//! [`Driver::run`] loop, once per rank — there is no stepping loop here.
 //!
 //! Runs the same `igr_core::Solver` on each rank's block, with ghost cells
 //! coming from halo exchange (interior faces) or boundary conditions
@@ -7,8 +11,9 @@
 //! up identical to the single-block fill — decomposed runs reproduce
 //! single-rank runs bit for bit in FP64, which the integration tests assert.
 
-use crate::actions::{replay, Action, ActionLog, Actuate};
+use crate::actions::Action;
 use crate::checkpoint::{Checkpoint, CheckpointScalar, RankMeta};
+use crate::driver::{Cadence, Driver, ScheduledActions, StopCondition};
 use igr_comm::{CartComm, Comm, CommData, ReduceOp, Universe};
 use igr_core::bc::{
     fill_ghosts_axis_cached, fill_scalar_ghosts_axis, BcSet, FaceMask, InflowCache,
@@ -22,9 +27,14 @@ use std::path::{Path, PathBuf};
 
 /// Halo-exchanging ghost ops for one rank.
 pub struct HaloGhostOps {
+    /// This rank's place in the Cartesian rank grid, and its communicator.
     pub cart: CartComm,
+    /// This rank's block of the global domain.
     pub domain: Domain,
+    /// The (global) boundary conditions; applied on the wall faces this
+    /// rank owns.
     pub bcs: BcSet,
+    /// Ratio of specific heats (inflow-profile ghost states need it).
     pub gamma: f64,
     /// Faces owned by a physical boundary (no neighbor) per axis/side.
     wall_mask: FaceMask,
@@ -38,6 +48,7 @@ pub struct HaloGhostOps {
 }
 
 impl HaloGhostOps {
+    /// Ghost ops for the rank `cart` addresses, on its `domain` block.
     pub fn new(cart: CartComm, domain: Domain, bcs: BcSet, gamma: f64) -> Self {
         let rank = cart.rank();
         let wall_mask: FaceMask = std::array::from_fn(|d| {
@@ -133,6 +144,11 @@ impl<R: Real + CommData, S: Storage<R>> GhostOps<R, S> for HaloGhostOps {
             let bcs = self.bcs.clone();
             fill_scalar_ghosts_axis(f, &bcs, axis, &self.wall_mask);
         }
+    }
+
+    /// The global CFL step: the minimum over every rank's local one.
+    fn reduce_dt(&mut self, local_dt: f64) -> f64 {
+        self.cart.comm.allreduce_f64(local_dt, ReduceOp::Min)
     }
 }
 
@@ -230,73 +246,17 @@ pub fn gather_state<R: Real + CommData, S: Storage<R>>(
 pub struct DecomposedRun<R: Real, S: Storage<R>> {
     /// Gathered final state (rank 0's assembly).
     pub state: State<R, S>,
+    /// The run's total step count (a resumed run marched only the tail).
     pub steps: usize,
+    /// Simulation time at the end.
     pub t: f64,
     /// Total bytes sent over the "network" across ranks.
     pub total_bytes_sent: u64,
+    /// Step the ranks collectively resumed from (`None` = fresh from 0).
+    pub resumed_from: Option<usize>,
 }
 
-/// Run an IGR case decomposed over `n_ranks` thread-ranks for `steps`
-/// steps, with the global CFL time step reduced across ranks each step.
-pub fn run_decomposed<R, S>(
-    cfg: &IgrConfig,
-    global_domain: &Domain,
-    n_ranks: usize,
-    steps: usize,
-    init: impl Fn([f64; 3]) -> Prim<f64> + Send + Sync,
-) -> DecomposedRun<R, S>
-where
-    R: Real + CommData,
-    S: Storage<R>,
-{
-    let global = [
-        global_domain.shape.nx,
-        global_domain.shape.ny,
-        global_domain.shape.nz,
-    ];
-    let decomp = Decomp::auto(global, n_ranks, cfg.bc.periodic_axes());
-    let init = &init;
-
-    let mut results = Universe::run(n_ranks, move |comm| {
-        let rank = comm.rank();
-        let cart = CartComm::new(comm, decomp.clone());
-        let local_domain = decomp.local_domain(rank, global_domain, GHOST_WIDTH);
-        let q = init_state_global::<R, S>(&decomp, rank, global_domain, cfg.gamma, init);
-        let ghost = HaloGhostOps::new(cart, local_domain, cfg.bc.clone(), cfg.gamma);
-        let scheme = IgrScheme::new(cfg.clone(), local_domain);
-        let mut solver: Solver<R, S, _, _> = Solver::new(scheme, ghost, local_domain, q);
-        solver.nan_check_every = 0; // checked after gather
-
-        let mut t = 0.0;
-        for _ in 0..steps {
-            let local_dt = solver.stable_dt();
-            let dt = solver
-                .ghost
-                .cart
-                .comm
-                .allreduce_f64(local_dt, ReduceOp::Min);
-            solver.fixed_dt = Some(dt);
-            match solver.step() {
-                Ok(info) => t = info.t,
-                Err(e) => panic!("rank {rank} failed: {e}"),
-            }
-        }
-        let bytes = solver.ghost.cart.comm.bytes_sent();
-        let gathered = gather_state(&mut solver.ghost.cart.comm, &decomp, &solver.q);
-        (gathered, t, bytes)
-    });
-
-    let total_bytes: u64 = results.iter().map(|(_, _, b)| *b).sum();
-    let (state, t, _) = results.swap_remove(0);
-    DecomposedRun {
-        state: state.expect("rank 0 gathers"),
-        steps,
-        t,
-        total_bytes_sent: total_bytes,
-    }
-}
-
-/// Per-rank restart policy for [`run_decomposed_resumable`].
+/// Per-rank restart policy for [`run_decomposed`].
 #[derive(Clone, Debug)]
 pub struct DecompCheckpointing {
     /// Directory holding the per-rank restart files.
@@ -315,31 +275,29 @@ pub fn rank_ckpt_path(dir: &Path, stem: &str, rank: usize) -> PathBuf {
     dir.join(format!("{stem}.rank{rank}.ckpt"))
 }
 
-/// What [`run_decomposed_resumable`] did: the run plus where it picked up.
-pub struct DecomposedResume<R: Real, S: Storage<R>> {
-    /// The completed run (gathered state, clock, traffic).
-    pub run: DecomposedRun<R, S>,
-    /// Step the ranks collectively resumed from (`None` = fresh from 0).
-    pub resumed_from: Option<usize>,
-}
-
-/// [`run_decomposed`] with per-rank checkpoint/resume and an optional
-/// scripted action schedule.
+/// Run an IGR case decomposed over `n_ranks` thread-ranks to a TOTAL of
+/// `steps` steps. Each rank marches its block through the one
+/// [`Driver::run`] loop: the rank solver's adaptive dt is the global CFL
+/// minimum ([`GhostOps::reduce_dt`]), the schedule is a
+/// [`ScheduledActions`] controller, and autosaves are
+/// [`Driver::checkpoint_to`] snapshots carrying the [`RankMeta`] trailer.
 ///
-/// `steps` is the run's TOTAL step count. If `ckpt` is given and every rank
-/// finds a restart file written by the *same* decomposition (validated via
-/// the [`RankMeta`] trailer) at the *same* step — agreement reached through
-/// [`Comm::allreduce_u64`], because a split resume decision would deadlock
-/// the first halo exchange — all ranks restore (fields + Σ + clock + action
-/// log, replayed) and run only the remaining steps, bitwise-identical to an
-/// uninterrupted run. Any disagreement (missing file, foreign decomp, torn
-/// write) falls back to a fresh start on every rank.
+/// If `ckpt` is given and every rank finds a restart file written by the
+/// *same* decomposition (validated via the trailer) at the *same* step —
+/// agreement reached through [`Comm::allreduce_u64`], because a split
+/// resume decision would deadlock the first halo exchange — all ranks
+/// restore (fields + Σ + clock + action log, replayed) and run only the
+/// remaining steps, bitwise-identical to an uninterrupted run. Any
+/// disagreement (missing file, foreign decomp, torn write) falls back to a
+/// fresh start on every rank.
 ///
 /// `schedule` entries `(step, action)` are applied on every rank at the
 /// boundary before the given 0-based step, recorded into each rank's log,
 /// and replayed on resume. A `SetFixedDt` pin overrides the per-step global
 /// CFL reduction until unpinned.
-pub fn run_decomposed_resumable<R, S>(
+///
+/// [`Comm::allreduce_u64`]: igr_comm::Comm::allreduce_u64
+pub fn run_decomposed<R, S>(
     cfg: &IgrConfig,
     global_domain: &Domain,
     n_ranks: usize,
@@ -347,7 +305,7 @@ pub fn run_decomposed_resumable<R, S>(
     init: impl Fn([f64; 3]) -> Prim<f64> + Send + Sync,
     ckpt: Option<DecompCheckpointing>,
     schedule: &[(usize, Action)],
-) -> DecomposedResume<R, S>
+) -> DecomposedRun<R, S>
 where
     R: Real + CommData,
     S: Storage<R>,
@@ -415,79 +373,55 @@ where
         let mut solver: Solver<R, S, _, _> = Solver::new(scheme, ghost, local_domain, q);
         solver.nan_check_every = 0; // checked after gather
 
-        let mut t = 0.0;
-        let mut start = 0usize;
-        let mut log = ActionLog::new();
-        let mut pinned: Option<f64> = None;
-        if let Some(ck) = restored {
-            ck.restore_sigma_into(solver.scheme.sigma_mut())
-                .expect("sigma restore validated at proposal time");
-            replay(&ck.actions, &mut solver)
-                .unwrap_or_else(|e| panic!("rank {rank} action replay failed: {e}"));
-            solver.reset_clock(ck.t, ck.step);
-            t = ck.t;
-            start = ck.step;
-            log = ck.actions;
-            pinned = ck.fixed_dt;
+        let start = restored.as_ref().map_or(0, |ck| ck.step);
+        let mut driver = Driver::new()
+            .stop_when(StopCondition::StepReached(steps))
+            .control(
+                Cadence::EveryStep,
+                ScheduledActions::new(schedule.to_vec()).skip_through(start),
+            );
+        driver.rank_meta = Some(meta);
+        if let (Some(c), Some(path)) = (ckpt.as_ref().filter(|c| c.every != 0), &path) {
+            driver = driver.checkpoint_to(path, Some(Cadence::EverySteps(c.every)));
         }
+        if let Some(ck) = &restored {
+            driver
+                .resume_from(&mut solver, ck)
+                .unwrap_or_else(|e| panic!("rank {rank} resume failed: {e}"));
+        }
+        // A controller first fires at the boundary *after* a step, so
+        // entries due at the boundary the run starts from — step 0 of a
+        // fresh run, or a restart file written before they were applied —
+        // are applied here, unless the restored log already holds them.
+        let (start_step, t) = (start as u64, solver.t());
+        if !driver
+            .action_log()
+            .records()
+            .iter()
+            .any(|r| r.step == start_step)
+        {
+            for (_, action) in schedule.iter().filter(|(at, _)| *at == start) {
+                driver
+                    .apply(&mut solver, action, start, t)
+                    .unwrap_or_else(|e| panic!("rank {rank} action at step {start} failed: {e}"));
+            }
+        }
+        driver
+            .run(&mut solver)
+            .unwrap_or_else(|e| panic!("rank {rank} failed: {e}"));
 
-        for s in start..steps {
-            for (at, action) in schedule.iter().filter(|(at, _)| *at == s) {
-                solver
-                    .actuate(action, t)
-                    .unwrap_or_else(|e| panic!("rank {rank} action at step {at} failed: {e}"));
-                if let Action::SetFixedDt { dt } = action {
-                    pinned = *dt;
-                }
-                log.record(*at as u64, t, action.clone());
-            }
-            let dt = match pinned {
-                Some(d) => d,
-                None => {
-                    let local_dt = solver.stable_dt();
-                    solver
-                        .ghost
-                        .cart
-                        .comm
-                        .allreduce_f64(local_dt, ReduceOp::Min)
-                }
-            };
-            solver.fixed_dt = Some(dt);
-            match solver.step() {
-                Ok(info) => t = info.t,
-                Err(e) => panic!("rank {rank} failed: {e}"),
-            }
-            let done = s + 1;
-            if let (Some(c), Some(path)) = (ckpt.as_ref(), &path) {
-                if c.every != 0 && done % c.every == 0 {
-                    Checkpoint::capture_fields(
-                        &solver.q.fields(),
-                        Some(solver.scheme.sigma()),
-                        t,
-                        done,
-                        pinned,
-                    )
-                    .with_actions(log.clone())
-                    .with_rank_meta(meta)
-                    .save_atomic(path)
-                    .unwrap_or_else(|e| panic!("rank {rank} checkpoint save failed: {e}"));
-                }
-            }
-        }
         let bytes = solver.ghost.cart.comm.bytes_sent();
         let gathered = gather_state(&mut solver.ghost.cart.comm, &decomp, &solver.q);
-        (gathered, t, bytes, resume.then_some(start))
+        (gathered, solver.t(), bytes, resume.then_some(start))
     });
 
     let total_bytes: u64 = results.iter().map(|(_, _, b, _)| *b).sum();
     let (state, t, _, resumed_from) = results.swap_remove(0);
-    DecomposedResume {
-        run: DecomposedRun {
-            state: state.expect("rank 0 gathers"),
-            steps,
-            t,
-            total_bytes_sent: total_bytes,
-        },
+    DecomposedRun {
+        state: state.expect("rank 0 gathers"),
+        steps,
+        t,
+        total_bytes_sent: total_bytes,
         resumed_from,
     }
 }
@@ -505,7 +439,7 @@ mod tests {
         steps: usize,
         init: impl Fn([f64; 3]) -> Prim<f64> + Send + Sync,
     ) -> State<f64, StoreF64> {
-        run_decomposed::<f64, StoreF64>(cfg, domain, 1, steps, init).state
+        run_decomposed::<f64, StoreF64>(cfg, domain, 1, steps, init, None, &[]).state
     }
 
     #[test]
@@ -515,7 +449,15 @@ mod tests {
         let init = case.init.clone();
         let init2 = case.init.clone();
         let single = single_rank_reference(&cfg, &case.domain, 10, move |p| init(p));
-        let multi = run_decomposed::<f64, StoreF64>(&cfg, &case.domain, 2, 10, move |p| init2(p));
+        let multi = run_decomposed::<f64, StoreF64>(
+            &cfg,
+            &case.domain,
+            2,
+            10,
+            move |p| init2(p),
+            None,
+            &[],
+        );
         assert_eq!(
             single.max_diff(&multi.state),
             0.0,
@@ -538,7 +480,7 @@ mod tests {
             )
         };
         let single = single_rank_reference(&cfg, &domain, 5, init);
-        let multi = run_decomposed::<f64, StoreF64>(&cfg, &domain, 4, 5, init);
+        let multi = run_decomposed::<f64, StoreF64>(&cfg, &domain, 4, 5, init, None, &[]);
         assert_eq!(single.max_diff(&multi.state), 0.0);
     }
 
@@ -549,7 +491,8 @@ mod tests {
         let i1 = case.init.clone();
         let i3 = case.init.clone();
         let single = single_rank_reference(&cfg, &case.domain, 8, move |p| i1(p));
-        let multi = run_decomposed::<f64, StoreF64>(&cfg, &case.domain, 3, 8, move |p| i3(p));
+        let multi =
+            run_decomposed::<f64, StoreF64>(&cfg, &case.domain, 3, 8, move |p| i3(p), None, &[]);
         assert_eq!(single.max_diff(&multi.state), 0.0);
     }
 
@@ -562,7 +505,7 @@ mod tests {
         let cfg = IgrConfig::default();
         let init = |p: [f64; 3]| Prim::new(1.0 + p[0] + 10.0 * p[1] + 100.0 * p[2], [0.0; 3], 1.0);
         let single = single_rank_reference(&cfg, &domain, 0, init);
-        let multi = run_decomposed::<f64, StoreF64>(&cfg, &domain, 6, 0, init);
+        let multi = run_decomposed::<f64, StoreF64>(&cfg, &domain, 6, 0, init, None, &[]);
         assert_eq!(single.max_diff(&multi.state), 0.0);
     }
 
@@ -576,8 +519,10 @@ mod tests {
         let i1 = case.init.clone();
         let i2 = case.init.clone();
         let single =
-            run_decomposed::<f64, StoreF64>(&cfg, &case.domain, 1, 4, move |p| i1(p)).state;
-        let multi = run_decomposed::<f64, StoreF64>(&cfg, &case.domain, 2, 4, move |p| i2(p));
+            run_decomposed::<f64, StoreF64>(&cfg, &case.domain, 1, 4, move |p| i1(p), None, &[])
+                .state;
+        let multi =
+            run_decomposed::<f64, StoreF64>(&cfg, &case.domain, 2, 4, move |p| i2(p), None, &[]);
         assert_eq!(
             single.max_diff(&multi.state),
             0.0,
@@ -607,7 +552,7 @@ mod tests {
         };
 
         let i1 = case.init.clone();
-        let straight = run_decomposed_resumable::<f64, StoreF64>(
+        let straight = run_decomposed::<f64, StoreF64>(
             &cfg,
             &case.domain,
             2,
@@ -619,7 +564,7 @@ mod tests {
         assert_eq!(straight.resumed_from, None);
 
         let i2 = case.init.clone();
-        let cut = run_decomposed_resumable::<f64, StoreF64>(
+        let cut = run_decomposed::<f64, StoreF64>(
             &cfg,
             &case.domain,
             2,
@@ -637,7 +582,7 @@ mod tests {
         }
 
         let i3 = case.init.clone();
-        let resumed = run_decomposed_resumable::<f64, StoreF64>(
+        let resumed = run_decomposed::<f64, StoreF64>(
             &cfg,
             &case.domain,
             2,
@@ -648,18 +593,18 @@ mod tests {
         );
         assert_eq!(resumed.resumed_from, Some(6), "must pick up at the cut");
         assert_eq!(
-            straight.run.state.max_diff(&resumed.run.state),
+            straight.state.max_diff(&resumed.state),
             0.0,
             "resumed decomposed run must be bitwise identical"
         );
-        assert_eq!(straight.run.t.to_bits(), resumed.run.t.to_bits());
+        assert_eq!(straight.t.to_bits(), resumed.t.to_bits());
 
         // A different decomposition refuses the files and falls back fresh
         // (rank 2 of 3 has no file; consensus says start over) — and still
         // lands on the same answer because decomposed runs are rank-count
         // invariant.
         let i4 = case.init.clone();
-        let other = run_decomposed_resumable::<f64, StoreF64>(
+        let other = run_decomposed::<f64, StoreF64>(
             &cfg,
             &case.domain,
             3,
@@ -669,7 +614,7 @@ mod tests {
             &schedule,
         );
         assert_eq!(other.resumed_from, None, "foreign decomp must not resume");
-        assert_eq!(straight.run.state.max_diff(&other.run.state), 0.0);
+        assert_eq!(straight.state.max_diff(&other.state), 0.0);
 
         for rank in 0..2 {
             let _ = std::fs::remove_file(rank_ckpt_path(&dir, "resume_case", rank));
@@ -679,14 +624,66 @@ mod tests {
         }
     }
 
+    /// A schedule entry at step 0 means "before the first step" — the
+    /// launcher's contract since before the ranks marched through
+    /// `Driver::run`, whose controllers first fire *after* a step.
+    #[test]
+    fn schedule_entry_at_step_zero_applies_before_the_first_step() {
+        use crate::actions::Actuate;
+        let case = cases::engine_row_2d(16, 3, crate::jets::JetConditions::mach10());
+        let cfg = case.igr_config();
+        let knock_out = Action::EngineOut { engine: 1 };
+        let dir = std::env::temp_dir().join("igr_parallel_step_zero_tests");
+        std::fs::create_dir_all(&dir).unwrap();
+        let run = |at: usize, ckpt| {
+            let init = case.init.clone();
+            let schedule = [(at, knock_out.clone())];
+            run_decomposed::<f64, StoreF64>(
+                &cfg,
+                &case.domain,
+                2,
+                3,
+                move |p| init(p),
+                ckpt,
+                &schedule,
+            )
+        };
+        let at_zero = run(
+            0,
+            Some(DecompCheckpointing {
+                dir: dir.clone(),
+                stem: "step_zero".into(),
+                every: 1,
+            }),
+        );
+
+        // The log every rank carries stamps the entry at the step-0 boundary.
+        for rank in 0..2 {
+            let path = rank_ckpt_path(&dir, "step_zero", rank);
+            let ck = Checkpoint::load(&path).unwrap();
+            let rec = &ck.actions.records()[0];
+            assert_eq!((rec.step, rec.t.to_bits()), (0, 0f64.to_bits()));
+            let _ = std::fs::remove_file(path);
+        }
+        // Same physics as a block that never had the engine...
+        let mut reference = case.igr_solver::<f64, StoreF64>();
+        reference.actuate(&knock_out, 0.0).unwrap();
+        Driver::new().max_steps(3).run(&mut reference).unwrap();
+        assert_eq!(reference.q.max_diff(&at_zero.state), 0.0);
+        // ...and not the physics of losing it one boundary later.
+        assert!(run(1, None).state.max_diff(&at_zero.state) > 0.0);
+    }
+
     #[test]
     fn comm_volume_grows_with_rank_count() {
         let case = cases::steepening_wave(96, 0.2);
         let cfg = case.igr_config();
         let i2 = case.init.clone();
         let i4 = case.init.clone();
-        let two = run_decomposed::<f64, StoreF64>(&cfg, &case.domain, 2, 3, move |p| i2(p));
-        let four = run_decomposed::<f64, StoreF64>(&cfg, &case.domain, 4, 3, move |p| i4(p));
+        let two =
+            run_decomposed::<f64, StoreF64>(&cfg, &case.domain, 2, 3, move |p| i2(p), None, &[]);
+        let four =
+            run_decomposed::<f64, StoreF64>(&cfg, &case.domain, 4, 3, move |p| i4(p), None, &[]);
         assert!(
             four.total_bytes_sent > two.total_bytes_sent,
             "more ranks, more halo traffic: {} vs {}",

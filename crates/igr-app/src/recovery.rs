@@ -3,8 +3,9 @@
 //!
 //! At the paper's scale (tens of thousands of node-hours per campaign) a
 //! single mid-run NaN must not discard the whole allocation. This module
-//! gives the [`Driver`] a recovery loop: a [`RecoveryPolicy`] keeps a small
-//! in-memory ring of [`Checkpointable`] snapshots taken at fixed step
+//! gives the one [`Driver::run`] loop its recovery capability
+//! ([`Driver::recover`]): a [`RecoveryPolicy`] keeps a small in-memory ring
+//! of [`crate::driver::Checkpointable`] snapshots taken at fixed step
 //! boundaries and, when the NaN guard (or the KE/positivity
 //! [`crate::driver::StopCondition::DivergenceGuard`]) trips, rolls the
 //! solver back to the last healthy snapshot, re-runs the window at a
@@ -42,10 +43,8 @@
 //! mid-recovery run — whose log already records the trip — does not
 //! re-poison the state.
 
-use crate::checkpoint::Checkpoint;
-use crate::driver::{
-    Checkpointable, Driver, DriverError, Probe, RunSummary, StopCondition, StopReason,
-};
+use crate::checkpoint::{decode_log, decode_log_exact, encode_log, Checkpoint};
+use crate::driver::{Driver, DriverError, March, Probe};
 use igr_core::solver::{GhostOps, RhsScheme, Solver};
 use igr_prec::{Real, Storage};
 use igr_species::SpeciesSolver;
@@ -128,6 +127,8 @@ const RECORD_BYTES: usize = 7 * 8;
 /// Trailer magic + version, appended after an `IGRCKPT` payload (and after
 /// any `ACTLOG` trailer).
 pub(crate) const RECLOG_MAGIC: &[u8; 8] = b"RECLOG\x01\0";
+/// How decode errors name this log.
+const WHAT: &str = "recovery-log";
 
 /// The deterministic, time-stamped log of every rollback a run performed.
 ///
@@ -200,68 +201,50 @@ impl RecoveryLog {
     /// Every float is written as its IEEE-754 bit pattern (bit-exact,
     /// NaN/±inf included).
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(16 + self.records.len() * RECORD_BYTES);
-        out.extend_from_slice(RECLOG_MAGIC);
-        out.extend_from_slice(&(self.records.len() as u64).to_le_bytes());
-        for rec in &self.records {
-            out.extend_from_slice(&rec.trip_step.to_le_bytes());
-            out.extend_from_slice(&rec.rollback_step.to_le_bytes());
-            out.extend_from_slice(&rec.rollback_t.to_bits().to_le_bytes());
-            out.extend_from_slice(&rec.prev_dt.to_bits().to_le_bytes());
-            out.extend_from_slice(&rec.backoff_dt.to_bits().to_le_bytes());
-            out.extend_from_slice(&rec.hold_until.to_le_bytes());
-            out.extend_from_slice(&rec.retry.to_le_bytes());
-        }
-        out
+        encode_log(RECLOG_MAGIC, RECORD_BYTES, &self.records, |rec, out| {
+            for v in [
+                rec.trip_step,
+                rec.rollback_step,
+                rec.rollback_t.to_bits(),
+                rec.prev_dt.to_bits(),
+                rec.backoff_dt.to_bits(),
+                rec.hold_until,
+                rec.retry,
+            ] {
+                out.extend_from_slice(&v.to_le_bytes());
+            }
+        })
     }
 
     /// Parse a trailer produced by [`RecoveryLog::encode`]. The byte slice
     /// must contain exactly one trailer (no slack).
     pub fn decode(bytes: &[u8]) -> Result<Self, String> {
-        let (log, used) = Self::decode_prefix(bytes)?;
-        if used != bytes.len() {
-            return Err(format!(
-                "recovery-log trailer has {} trailing bytes",
-                bytes.len() - used
-            ));
-        }
-        Ok(log)
+        decode_log_exact(WHAT, RECLOG_MAGIC, RECORD_BYTES, bytes, decode_record)
+            .map(|records| RecoveryLog { records })
     }
 
     /// Parse one trailer from the front of `bytes`, returning the log and
     /// the number of bytes consumed — the multi-trailer checkpoint parser's
     /// entry point.
     pub fn decode_prefix(bytes: &[u8]) -> Result<(Self, usize), String> {
-        if bytes.len() < 16 || &bytes[..8] != RECLOG_MAGIC {
-            return Err("bad recovery-log magic".into());
-        }
-        let count = u64::from_le_bytes(bytes[8..16].try_into().unwrap()) as usize;
-        let total = 16
-            + count
-                .checked_mul(RECORD_BYTES)
-                .ok_or("recovery-log count overflows")?;
-        if bytes.len() < total {
-            return Err(format!(
-                "recovery-log holds {} bytes, {count} records need {total}",
-                bytes.len()
-            ));
-        }
-        let mut records = Vec::with_capacity(count);
-        for r in 0..count {
-            let b = &bytes[16 + r * RECORD_BYTES..16 + (r + 1) * RECORD_BYTES];
-            let u = |i: usize| u64::from_le_bytes(b[i * 8..(i + 1) * 8].try_into().unwrap());
-            records.push(RecoveryRecord {
-                trip_step: u(0),
-                rollback_step: u(1),
-                rollback_t: f64::from_bits(u(2)),
-                prev_dt: f64::from_bits(u(3)),
-                backoff_dt: f64::from_bits(u(4)),
-                hold_until: u(5),
-                retry: u(6),
-            });
-        }
-        Ok((RecoveryLog { records }, total))
+        decode_log(WHAT, RECLOG_MAGIC, RECORD_BYTES, bytes, decode_record)
+            .map(|(records, used)| (RecoveryLog { records }, used))
     }
+}
+
+/// One fixed-layout record (a `RECORD_BYTES` slice) back into a
+/// [`RecoveryRecord`].
+fn decode_record(b: &[u8]) -> Result<RecoveryRecord, String> {
+    let u = |i: usize| u64::from_le_bytes(b[i * 8..(i + 1) * 8].try_into().expect("8-byte slice"));
+    Ok(RecoveryRecord {
+        trip_step: u(0),
+        rollback_step: u(1),
+        rollback_t: f64::from_bits(u(2)),
+        prev_dt: f64::from_bits(u(3)),
+        backoff_dt: f64::from_bits(u(4)),
+        hold_until: u(5),
+        retry: u(6),
+    })
 }
 
 /// Bit-exact equality via the canonical binary encoding.
@@ -317,141 +300,121 @@ where
     }
 }
 
+/// The recovery state of one [`Driver::run`] call: the ring of healthy
+/// snapshots and the absolute step the current window ends at.
+#[derive(Default)]
+pub(crate) struct Windows {
+    ring: VecDeque<Checkpoint>,
+    end: usize,
+}
+
+impl Windows {
+    /// Whether the march pauses at absolute step `now`: at the start of the
+    /// run (to seed the ring — unless the run is already over), at the
+    /// window's end, and wherever the run stops.
+    pub(crate) fn at_boundary(&self, now: usize, stopping: bool) -> bool {
+        if self.ring.is_empty() {
+            !stopping
+        } else {
+            stopping || now >= self.end
+        }
+    }
+}
+
+/// The window mechanics behind [`Driver::recover`]. Windows are bounded by
+/// the policy's snapshot cadence (absolute-step aligned, so observers fire
+/// exactly as in an unwindowed run), any active backoff-hold expiry, and the
+/// chaos injection step.
 impl<'a, P: ?Sized> Driver<'a, P> {
-    /// March `sys` to absolute step `target_step` under a recovery policy.
-    ///
-    /// The run proceeds in windows bounded by the policy's snapshot cadence
-    /// (absolute-step aligned, so observers fire exactly as in an
-    /// unwindowed run), any active backoff-hold expiry, and the chaos
-    /// injection step. At each healthy window boundary the state is scanned
-    /// for non-finite values, snapshotted into the ring, and — when a
-    /// [`Driver::checkpoint_to`] path is configured — autosaved with the
-    /// action *and* recovery logs embedded. A trip (solver error, NaN scan
-    /// hit, or [`StopCondition::DivergenceGuard`]) rolls back to the latest
-    /// ring snapshot and re-runs the window at a backed-off fixed dt; after
-    /// `max_retries` consecutive trips of one chain the run fails with
-    /// [`DriverError::RetriesExhausted`].
-    ///
-    /// Controllers are not supported here (recovery re-runs windows, which
-    /// would double-apply their actions); seed the action log instead if
-    /// resuming a previously controlled run.
-    pub fn run_recovered(
+    /// Process the window boundary `sys` stands at. The first boundary of a
+    /// run only seeds the ring (on resume that is the restored checkpoint
+    /// state — exactly the snapshot the uninterrupted run held here). Every
+    /// later one fires a due chaos injection and scans for non-finite
+    /// values: a healthy state is snapshotted into the ring and autosaved
+    /// with both logs embedded (`Ok(false)`), a trip rolls back
+    /// (`Ok(true)`).
+    pub(crate) fn window_boundary(
         &mut self,
         sys: &mut P,
-        policy: &RecoveryPolicy,
-        target_step: usize,
-    ) -> Result<RunSummary, DriverError>
+        w: &mut Windows,
+        m: &mut March,
+    ) -> Result<bool, DriverError>
     where
-        P: Probe + Checkpointable + InjectNan,
+        P: Probe,
     {
-        policy.validate();
-        assert!(
-            self.controllers.is_empty(),
-            "recovered runs do not support controllers (windows re-run on rollback)"
-        );
-        let wall0 = Instant::now();
-        let start_step = sys.steps_taken();
-        let mut ring: VecDeque<Checkpoint> = VecDeque::new();
-        // Seed the ring so a trip in the very first window has a rollback
-        // target. On resume this is the restored checkpoint state — exactly
-        // the snapshot the uninterrupted run held at this boundary.
-        ring.push_back(sys.capture());
-
-        loop {
-            let now = sys.steps_taken();
-            if now >= target_step {
-                break;
-            }
-            // The dt schedule is a pure function of the recovery log; apply
-            // it at every window boundary so backoff pinning, hold expiry,
-            // and resumes all converge on the same step sizes.
-            if let Some(policy_dt) = self.recovery_log.dt_at(now as u64) {
-                sys.set_fixed_dt(policy_dt);
-            }
-            let mut end =
-                (((now / policy.snapshot_every) + 1) * policy.snapshot_every).min(target_step);
-            if let Some(h) = self.recovery_log.next_hold_expiry(now as u64) {
-                end = end.min(h as usize);
-            }
-            if self.recovery_log.is_empty() {
-                if let Some(inj) = self.nan_injection {
-                    if inj > now {
-                        end = end.min(inj);
-                    }
+        let first = w.ring.is_empty();
+        if !first {
+            // The injection fires once, while the log is empty — a resumed
+            // mid-recovery run (non-empty log) must not re-poison the state.
+            if let Some((at, inject)) = self.nan_injection {
+                if self.recovery_log.is_empty() && at == sys.steps_taken() {
+                    inject(sys);
                 }
             }
-
-            self.stops.push(StopCondition::StepReached(end));
-            let res = self.run_core(
-                sys,
-                &mut |_, _, _, _| unreachable!("no controllers in recovered runs"),
-                &mut |_, _| Ok(()),
-            );
-            self.stops.pop();
-
-            match res {
-                Ok(_) => {
-                    // Chaos injection fires at its step boundary, once,
-                    // while the log is empty — a resumed mid-recovery run
-                    // (non-empty log) must not re-poison the state.
-                    if self.recovery_log.is_empty() && self.nan_injection == Some(sys.steps_taken())
-                    {
-                        sys.inject_nan();
-                    }
-                    if sys.find_non_finite().is_some() {
-                        self.rollback(sys, policy, &ring)?;
-                        continue;
-                    }
-                    // Healthy boundary: re-apply the dt policy *at the
-                    // boundary step* before capturing, so a snapshot taken
-                    // exactly at a hold expiry stores the restored policy
-                    // dt, not the stale backoff pin — rollbacks targeting
-                    // it then read the correct chain-base dt.
-                    if let Some(policy_dt) = self.recovery_log.dt_at(sys.steps_taken() as u64) {
-                        sys.set_fixed_dt(policy_dt);
-                    }
-                    // Snapshot into the ring and autosave with both logs
-                    // embedded.
-                    let ck = sys
-                        .capture()
-                        .with_actions(self.action_log.clone())
-                        .with_recoveries(self.recovery_log.clone());
-                    if let Some((path, _)) = &self.checkpoint {
-                        ck.save_atomic(path)?;
-                    }
-                    ring.push_back(ck);
-                    while ring.len() > policy.snapshot_ring_depth {
-                        ring.pop_front();
-                    }
-                }
-                Err(DriverError::Solver(_)) | Err(DriverError::Diverged { .. }) => {
-                    self.rollback(sys, policy, &ring)?;
-                }
-                Err(other) => return Err(other),
+            if sys.find_non_finite().is_some() {
+                self.heal(sys, w, m)?;
+                return Ok(true);
             }
         }
-        Ok(RunSummary {
-            steps: target_step - start_step,
-            t: sys.time(),
-            stop: StopReason::StepReached,
-            wall_s: wall0.elapsed().as_secs_f64(),
-        })
+        // The dt policy is applied *at the boundary step* before capturing,
+        // so a snapshot taken exactly at a hold expiry stores the restored
+        // policy dt, not the stale backoff pin — rollbacks targeting it then
+        // read the correct chain-base dt.
+        self.open_window(sys, w, m);
+        let ck = self.snapshot(sys);
+        if !first {
+            self.save(&ck)?;
+        }
+        w.ring.push_back(ck);
+        let (policy, _) = self.recovery.expect("only recovered runs have windows");
+        while w.ring.len() > policy.snapshot_ring_depth {
+            w.ring.pop_front();
+        }
+        Ok(false)
     }
 
-    /// Roll back to the latest ring snapshot, compute the backed-off dt,
-    /// and append the [`RecoveryRecord`]. Fails with
-    /// [`DriverError::RetriesExhausted`] once the chain's retry budget is
-    /// spent.
-    fn rollback(
+    /// Open the window starting at the step `sys` stands at: pin the dt the
+    /// log prescribes there, find where the window ends, and blank the
+    /// guards' memory (they compare consecutive probes within one window —
+    /// what a run resumed at this boundary would see).
+    fn open_window(&self, sys: &mut P, w: &mut Windows, m: &mut March)
+    where
+        P: Probe,
+    {
+        let now = sys.steps_taken();
+        // The dt schedule is a pure function of the recovery log; applying
+        // it at every boundary makes backoff pinning, hold expiry, and
+        // resumes all converge on the same step sizes.
+        if let Some(policy_dt) = self.recovery_log.dt_at(now as u64) {
+            sys.set_fixed_dt(policy_dt);
+        }
+        let (policy, _) = self.recovery.expect("only recovered runs have windows");
+        w.end = (now / policy.snapshot_every + 1) * policy.snapshot_every;
+        if let Some(h) = self.recovery_log.next_hold_expiry(now as u64) {
+            w.end = w.end.min(h as usize);
+        }
+        match self.nan_injection {
+            Some((inj, _)) if self.recovery_log.is_empty() && inj > now => w.end = w.end.min(inj),
+            _ => {}
+        }
+        (m.last_ke, m.last_div_ke) = (None, None);
+    }
+
+    /// A trip: roll back to the latest ring snapshot, append the
+    /// [`RecoveryRecord`] with the backed-off dt, and open the re-run
+    /// window. Fails with [`DriverError::RetriesExhausted`] once the chain's
+    /// retry budget is spent.
+    pub(crate) fn heal(
         &mut self,
         sys: &mut P,
-        policy: &RecoveryPolicy,
-        ring: &VecDeque<Checkpoint>,
+        w: &mut Windows,
+        m: &mut March,
     ) -> Result<(), DriverError>
     where
-        P: Probe + Checkpointable,
+        P: Probe,
     {
         let t0 = Instant::now();
+        let (policy, restore) = self.recovery.expect("only recovered runs heal");
         let trip_step = sys.steps_taken() as u64;
         let reg = igr_obs::Registry::global();
         reg.counter_add("recovery.trips", 1);
@@ -463,10 +426,8 @@ impl<'a, P: ?Sized> Driver<'a, P> {
                 retries: policy.max_retries,
             });
         }
-        let ck = ring
-            .back()
-            .expect("snapshot ring is seeded before the loop");
-        sys.restore(ck)?;
+        let ck = w.ring.back().expect("the ring is seeded before any step");
+        restore(sys, ck)?;
         // The chain's base dt: what the run marched at before the chain's
         // first trip. Retries inherit it from the chain's previous record,
         // so the geometric backoff is anchored, not compounding on itself.
@@ -499,6 +460,7 @@ impl<'a, P: ?Sized> Driver<'a, P> {
         });
         reg.counter_add("recovery.rollbacks", 1);
         reg.record_duration("recovery.rollback", t0.elapsed());
+        self.open_window(sys, w, m);
         Ok(())
     }
 }
@@ -506,6 +468,17 @@ impl<'a, P: ?Sized> Driver<'a, P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::{Checkpointable, StopCondition};
+
+    /// A self-healing driver marching to absolute step `target`.
+    fn healing<'a, P: Checkpointable + ?Sized>(
+        policy: &RecoveryPolicy,
+        target: usize,
+    ) -> Driver<'a, P> {
+        Driver::new()
+            .stop_when(StopCondition::StepReached(target))
+            .recover(*policy)
+    }
 
     fn nontrivial_log() -> RecoveryLog {
         let mut log = RecoveryLog::new();
@@ -601,8 +574,8 @@ mod tests {
         };
         let run = || {
             let mut solver = case.igr_solver::<f64, StoreF64>();
-            let mut d = Driver::new().inject_nan_at(6);
-            let summary = d.run_recovered(&mut solver, &policy, 20).unwrap();
+            let mut d = healing(&policy, 20).inject_nan_at(6);
+            let summary = d.run(&mut solver).unwrap();
             (solver, d.take_recovery_log(), summary)
         };
         let (a, log_a, summary) = run();
@@ -625,8 +598,8 @@ mod tests {
             .run(&mut plain)
             .unwrap();
         let mut unpoisoned = case.igr_solver::<f64, StoreF64>();
-        let mut d = Driver::new();
-        d.run_recovered(&mut unpoisoned, &policy, 20).unwrap();
+        let mut d = healing(&policy, 20);
+        d.run(&mut unpoisoned).unwrap();
         assert!(d.recovery_log().is_empty());
         assert_eq!(
             plain.q.max_diff(&unpoisoned.q),
@@ -656,24 +629,25 @@ mod tests {
             let path = dir.join("resume64.ckpt");
             let _ = std::fs::remove_file(&path);
             let mut straight = case.igr_solver::<f64, StoreF64>();
-            let mut d = Driver::new().inject_nan_at(6);
-            d.run_recovered(&mut straight, &policy, 20).unwrap();
+            let mut d = healing(&policy, 20).inject_nan_at(6);
+            d.run(&mut straight).unwrap();
 
             // Interrupt mid-recovery: stop at step 8, inside the backoff
             // hold (trip at 6, rollback to 4, hold until 12).
             let mut first = case.igr_solver::<f64, StoreF64>();
-            let mut d1 = Driver::new().inject_nan_at(6).checkpoint_to(&path, None);
-            d1.run_recovered(&mut first, &policy, 8).unwrap();
+            let mut d1 = healing(&policy, 8)
+                .inject_nan_at(6)
+                .checkpoint_to(&path, None);
+            d1.run(&mut first).unwrap();
             assert_eq!(d1.recovery_log().len(), 1);
 
             let mut resumed = case.igr_solver::<f64, StoreF64>();
-            let ck = Driver::<_>::resume_from(&mut resumed, &path).unwrap();
+            let ck = Checkpoint::load(&path).unwrap();
             assert_eq!(ck.step, 8);
             assert_eq!(ck.recoveries.len(), 1, "the log rides the checkpoint");
-            let mut d2 = Driver::new()
-                .seed_recoveries(ck.recoveries.clone())
-                .inject_nan_at(6); // non-empty log: must NOT re-fire
-            d2.run_recovered(&mut resumed, &policy, 20).unwrap();
+            let mut d2 = healing(&policy, 20).inject_nan_at(6); // non-empty log: must NOT re-fire
+            d2.resume_from(&mut resumed, &ck).unwrap();
+            d2.run(&mut resumed).unwrap();
             assert_eq!(resumed.steps_taken(), 20);
             assert_eq!(
                 straight.q.max_diff(&resumed.q),
@@ -686,17 +660,20 @@ mod tests {
             let path = dir.join("resume32.ckpt");
             let _ = std::fs::remove_file(&path);
             let mut straight = case.igr_solver::<f32, StoreF32>();
-            let mut d = Driver::new().inject_nan_at(6);
-            d.run_recovered(&mut straight, &policy, 20).unwrap();
+            let mut d = healing(&policy, 20).inject_nan_at(6);
+            d.run(&mut straight).unwrap();
             assert!(!d.recovery_log().is_empty());
 
             let mut first = case.igr_solver::<f32, StoreF32>();
-            let mut d1 = Driver::new().inject_nan_at(6).checkpoint_to(&path, None);
-            d1.run_recovered(&mut first, &policy, 8).unwrap();
+            let mut d1 = healing(&policy, 8)
+                .inject_nan_at(6)
+                .checkpoint_to(&path, None);
+            d1.run(&mut first).unwrap();
             let mut resumed = case.igr_solver::<f32, StoreF32>();
-            let ck = Driver::<_>::resume_from(&mut resumed, &path).unwrap();
-            let mut d2 = Driver::new().seed_recoveries(ck.recoveries.clone());
-            d2.run_recovered(&mut resumed, &policy, 20).unwrap();
+            let mut d2 = healing(&policy, 20);
+            d2.resume_from(&mut resumed, &Checkpoint::load(&path).unwrap())
+                .unwrap();
+            d2.run(&mut resumed).unwrap();
             assert_eq!(
                 straight.q.max_diff(&resumed.q),
                 0.0,
@@ -713,10 +690,40 @@ mod tests {
         assert_eq!(s.steps, 3);
     }
 
+    /// A recovery-armed run whose absolute-step target is already behind the
+    /// solver takes no step, takes no snapshot, and touches nothing — the
+    /// step count is what the loop took, not `target − start` (which
+    /// underflowed).
+    #[test]
+    fn recovered_run_toward_a_passed_step_is_a_zero_step_no_op() {
+        use crate::cases;
+        use crate::driver::StopReason;
+        use igr_prec::StoreF64;
+        let case = cases::steepening_wave(48, 0.25);
+        let mut solver = case.igr_solver::<f64, StoreF64>();
+        Driver::new().max_steps(5).run(&mut solver).unwrap();
+        let before = solver.capture();
+        let path = std::env::temp_dir().join("igr_recovery_tests_passed_target.ckpt");
+        let _ = std::fs::remove_file(&path);
+
+        let mut d = healing(&RecoveryPolicy::default(), 3).checkpoint_to(&path, None);
+        let summary = d.run(&mut solver).unwrap();
+        assert_eq!((summary.steps, summary.stop), (0, StopReason::StepReached));
+        assert_eq!(solver.steps_taken(), 5);
+        assert_eq!(solver.fixed_dt, None, "the dt policy was not touched");
+        assert!(d.recovery_log().is_empty());
+        assert!(!path.exists(), "nothing to save");
+
+        let mut untouched = case.igr_solver::<f64, StoreF64>();
+        untouched.restore(&before).unwrap();
+        assert_eq!(solver.q.max_diff(&untouched.q), 0.0);
+        assert_eq!(solver.t().to_bits(), untouched.t().to_bits());
+    }
+
     #[test]
     fn persistent_divergence_exhausts_retries() {
         use crate::cases;
-        use crate::driver::{Driver, DriverError};
+        use crate::driver::DriverError;
         use igr_prec::StoreF64;
         // Re-inject on every attempt by poisoning through a solver whose
         // state the policy can never outrun: retry budget 2, injection
@@ -736,8 +743,8 @@ mod tests {
             dt_backoff_factor: 0.999_999,
             backoff_hold_steps: 8,
         };
-        let mut d = Driver::new();
-        let err = d.run_recovered(&mut solver, &policy, 16).unwrap_err();
+        let mut d = healing(&policy, 16);
+        let err = d.run(&mut solver).unwrap_err();
         assert!(
             matches!(err, DriverError::RetriesExhausted { retries: 2, .. }),
             "got {err:?}"

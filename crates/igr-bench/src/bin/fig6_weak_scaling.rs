@@ -67,8 +67,15 @@ fn main() {
             // 2-D-ify: keep 1-D for simplicity; decomposition splits x.
             let cfg = case.igr_config();
             let init = case.init.clone();
-            let run =
-                run_decomposed::<f64, StoreF64>(&cfg, &case.domain, ranks, steps, move |p| init(p));
+            let run = run_decomposed::<f64, StoreF64>(
+                &cfg,
+                &case.domain,
+                ranks,
+                steps,
+                move |p| init(p),
+                None,
+                &[],
+            );
             (ranks, nx as f64, run.total_bytes_sent / ranks as u64)
         })
         .collect();
@@ -78,10 +85,25 @@ fn main() {
         let case = cases::steepening_wave(nx, 0.2);
         let cfg = case.igr_config();
         let i1 = case.init.clone();
-        let single = run_decomposed::<f64, StoreF64>(&cfg, &case.domain, 1, steps, move |p| i1(p));
+        let single = run_decomposed::<f64, StoreF64>(
+            &cfg,
+            &case.domain,
+            1,
+            steps,
+            move |p| i1(p),
+            None,
+            &[],
+        );
         let im = case.init.clone();
-        let multi =
-            run_decomposed::<f64, StoreF64>(&cfg, &case.domain, *ranks, steps, move |p| im(p));
+        let multi = run_decomposed::<f64, StoreF64>(
+            &cfg,
+            &case.domain,
+            *ranks,
+            steps,
+            move |p| im(p),
+            None,
+            &[],
+        );
         let diff = single.state.max_diff(&multi.state);
         t.row(vec![
             ranks.to_string(),

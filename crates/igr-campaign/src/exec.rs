@@ -13,17 +13,15 @@
 use crate::report::{CampaignReport, ReportRow, RunStatus, ScenarioResult, ScenarioSeries};
 use crate::spec::{ScenarioSpec, SchemeKind};
 use crate::store::ResultStore;
-use igr_app::actions::ActionLog;
 use igr_app::base::BaseHeatingReport;
 use igr_app::cases::CaseSetup;
 use igr_app::checkpoint::CheckpointScalar;
 use igr_app::diagnostics::History;
 use igr_app::driver::{
-    Cadence, CheckpointObserver, Checkpointable, DiagnosticsObserver, Driver, DriverError,
-    GimbalFeedbackController, StopCondition,
+    Cadence, Checkpointable, DiagnosticsObserver, Driver, DriverError, GimbalFeedbackController,
+    StopCondition,
 };
-use igr_app::parallel::{rank_ckpt_path, run_decomposed_resumable, DecompCheckpointing};
-use igr_app::recovery::{RecoveryLog, RecoveryRecord};
+use igr_app::parallel::{rank_ckpt_path, run_decomposed, DecompCheckpointing};
 use igr_core::solver::{BcGhostOps, RhsScheme, Solver, SolverError};
 use igr_prec::{PrecisionMode, Real, Storage, StoreF16, StoreF32, StoreF64};
 use std::collections::HashMap;
@@ -353,18 +351,18 @@ pub fn run_scenario_with(
         Ok(c) => c,
         Err(e) => return failed_result(spec, e.to_string()),
     };
+    // Restart files are in play only when the spec asks for them AND the
+    // executor has somewhere to put them.
+    let checkpoint_dir = checkpoint_dir.filter(|_| spec.checkpoint_every.is_some());
+    if let Some(dir) = checkpoint_dir {
+        if let Err(e) = std::fs::create_dir_all(dir) {
+            return failed_result(spec, format!("checkpoint dir {dir:?}: {e}"));
+        }
+    }
     if spec.ranks.is_some_and(|r| r > 1) {
         return run_decomposed_scenario_with(spec, &case, checkpoint_dir);
     }
-    let ckpt = match (spec.checkpoint_every, checkpoint_dir) {
-        (Some(_), Some(dir)) => {
-            if let Err(e) = std::fs::create_dir_all(dir) {
-                return failed_result(spec, format!("checkpoint dir {dir:?}: {e}"));
-            }
-            Some(dir.join(format!("{}.ckpt", spec.hash_hex())))
-        }
-        _ => None,
-    };
+    let ckpt = checkpoint_dir.map(|dir| dir.join(format!("{}.ckpt", spec.hash_hex())));
     match (spec.scheme, spec.precision) {
         (SchemeKind::Igr, PrecisionMode::Fp64) => run_igr::<f64, StoreF64>(spec, &case, ckpt),
         (SchemeKind::Igr, PrecisionMode::Fp32) => run_igr::<f32, StoreF32>(spec, &case, ckpt),
@@ -405,7 +403,9 @@ where
 
 /// Shared measurement path, marched through the unified [`Driver`]: grind
 /// timing, conservation drift, base heating, and — when the spec asks —
-/// an in-flight diagnostics series and checkpoint autosave/resume.
+/// an in-flight diagnostics series, a feedback controller, divergence
+/// recovery and checkpoint autosave/resume, each one capability attached to
+/// the same driver.
 ///
 /// The timing contract matches `igr_app::grind`: untimed warm-up steps with
 /// the per-step NaN check on, then a frozen dt and a check-free timed
@@ -424,53 +424,63 @@ where
     Solver<R, S, Sch, BcGhostOps>: Checkpointable,
 {
     let totals0 = solver.q.totals(&case.domain);
-    let cells = case.domain.shape.n_interior();
     let total_steps = spec.warmup + spec.steps;
-
-    // Resume: an autosaved restart file re-enters the interrupted timeline
-    // (state, Σ, clock, and the frozen dt restore bit-exactly). The file is
-    // validated *before* the solver is touched — a foreign/stale snapshot
-    // (wrong precision, shape, or a clock outside this spec's window) must
-    // leave the fresh-start state unperturbed, not half-restored.
     let mut resumed_from = None;
-    let mut seed_log = ActionLog::new();
-    let mut seed_recoveries = RecoveryLog::new();
-    if let Some(path) = ckpt.as_ref().filter(|p| p.exists()) {
-        if let Ok(ck) = igr_app::Checkpoint::load(path) {
-            if ck.step >= spec.warmup && ck.step <= total_steps && solver.restore(&ck).is_ok() {
-                // The snapshot carries fields/Σ/clock but not boundary
-                // conditions: replay its embedded action log so controller
-                // mutations (gimbal ramps, knock-outs, backpressure) are
-                // re-installed bit-identically. No-op for open-loop runs
-                // (the log is empty).
-                if igr_app::actions::replay(&ck.actions, solver).is_err() {
-                    return failed_result(
-                        spec,
-                        "restart file's action log does not apply to this scenario".into(),
-                    );
-                }
-                seed_log = ck.actions.clone();
-                // Likewise the recovery log: seeding it replays the dt
-                // schedule (backoff pins, hold expiries) bit-exactly, and
-                // keeps a mid-recovery resume from re-firing the chaos
-                // injection. Empty for recovery-free runs.
-                seed_recoveries = ck.recoveries.clone();
-                resumed_from = Some(ck.step);
+    let mut history = History::new();
+
+    let mut run = || -> Result<_, DriverError> {
+        let mut driver = Driver::new().stop_when(StopCondition::StepReached(total_steps));
+        if let Some(every) = spec.series_every {
+            driver = driver.observe(
+                Cadence::EverySteps(every),
+                DiagnosticsObserver::new(&mut history),
+            );
+        }
+        if let Some(c) = &spec.controller {
+            // Closed loop: the feedback controller fires at its cadence and
+            // the driver applies + logs its actions at step boundaries.
+            driver = driver.control(
+                Cadence::EverySteps(c.every),
+                GimbalFeedbackController {
+                    gain: c.gain,
+                    rate: c.rate,
+                    ..GimbalFeedbackController::with_gain(c.gain)
+                },
+            );
+        }
+        if let Some(rspec) = &spec.recovery {
+            // Self-healing: snapshots ring in memory, rollback + dt backoff
+            // on divergence, every rollback logged.
+            driver = driver.recover(rspec.to_policy());
+            #[cfg(test)]
+            if let Some(step) = nan_inject_step(spec) {
+                driver = driver.inject_nan_at(step);
             }
         }
-    }
+        if let Some(path) = &ckpt {
+            driver = driver.checkpoint_to(path, spec.checkpoint_every.map(Cadence::EverySteps));
+        }
 
-    #[allow(clippy::type_complexity)]
-    let mut run = || -> Result<
-        (
-            ScenarioSeries,
-            f64,
-            usize,
-            Option<Vec<_>>,
-            Option<Vec<RecoveryRecord>>,
-        ),
-        DriverError,
-    > {
+        // Resume: an autosaved restart file re-enters the interrupted
+        // timeline (state, Σ, clock and the frozen dt restore bit-exactly;
+        // the embedded action log is replayed, both logs are seeded). A
+        // foreign/stale snapshot (wrong precision, shape, or a clock outside
+        // this spec's window) is refused before the solver is touched and
+        // the run starts fresh.
+        let restart = ckpt
+            .as_ref()
+            .filter(|p| p.exists())
+            .and_then(|p| igr_app::Checkpoint::load(p).ok())
+            .filter(|ck| ck.step >= spec.warmup && ck.step <= total_steps);
+        if let Some(ck) = &restart {
+            match driver.resume_from(solver, ck) {
+                Ok(()) => resumed_from = Some(ck.step),
+                // The file is this scenario's, but its action log does not
+                // apply to the solver the spec builds: fail, don't guess.
+                Err(e @ DriverError::Action(_)) => return Err(e),
+                Err(_) => {}
+            }
+        }
         if resumed_from.is_none() {
             // Warm-up: adaptive dt, per-step NaN check (cheap insurance
             // against bad initial data), no instrumentation.
@@ -483,102 +493,11 @@ where
         }
         solver.nan_check_every = 0;
 
-        let timed_remaining = total_steps.saturating_sub(solver.steps_taken());
-        let mut history = History::new();
-        let mut driver = Driver::new();
-        if spec.recovery.is_none() {
-            // run_recovered marches to an absolute step target through its
-            // own window stops; a standing MaxSteps stop would cut windows
-            // short of their snapshot boundaries.
-            driver = driver.stop_when(StopCondition::MaxSteps(timed_remaining));
-        }
-        if let Some(every) = spec.series_every {
-            driver = driver.observe(
-                Cadence::EverySteps(every),
-                DiagnosticsObserver::new(&mut history),
-            );
-        }
-        if let Some(rspec) = &spec.recovery {
-            // Self-healing: snapshots ring in memory, rollback + dt backoff
-            // on divergence, every rollback logged. Autosaves (when the spec
-            // checkpoints) go through checkpoint_to so the restart file
-            // embeds the recovery log.
-            driver = driver.seed_recoveries(seed_recoveries.clone());
-            if let Some(path) = ckpt.as_ref() {
-                driver = driver
-                    .checkpoint_to(path.clone(), spec.checkpoint_every.map(Cadence::EverySteps));
-            }
-            #[cfg(test)]
-            if let Some(step) = nan_inject_step(spec) {
-                driver = driver.inject_nan_at(step);
-            }
-            let t0 = Instant::now();
-            let summary = driver.run_recovered(solver, &rspec.to_policy(), total_steps)?;
-            let wall_s = t0.elapsed().as_secs_f64();
-            let recoveries = driver.take_recovery_log().records().to_vec();
-            drop(driver);
-            if let Some((var, pos)) = solver.q.find_non_finite() {
-                return Err(SolverError::NonFinite {
-                    step: solver.steps_taken(),
-                    var,
-                    pos,
-                }
-                .into());
-            }
-            // Re-run windows re-fire the series observer; keep the last
-            // sample per step (the one from the surviving timeline) so the
-            // recorded series matches an uninterrupted replay.
-            let mut last: std::collections::BTreeMap<usize, igr_app::diagnostics::Sample> =
-                std::collections::BTreeMap::new();
-            for sm in history.samples.drain(..) {
-                last.insert(sm.step, sm);
-            }
-            return Ok((
-                ScenarioSeries {
-                    every: spec.series_every.unwrap_or(0),
-                    samples: last.into_values().collect(),
-                },
-                wall_s,
-                summary.steps,
-                None,
-                Some(recoveries),
-            ));
-        }
-        if let Some(c) = &spec.controller {
-            // Closed loop: the feedback controller fires at its cadence and
-            // the driver applies + logs its actions at step boundaries.
-            // Snapshots go through checkpoint_to so they embed the log
-            // (CheckpointObserver would write a log-free snapshot).
-            driver = driver.seed_actions(seed_log.clone()).control(
-                Cadence::EverySteps(c.every),
-                GimbalFeedbackController {
-                    gain: c.gain,
-                    rate: c.rate,
-                    ..GimbalFeedbackController::with_gain(c.gain)
-                },
-            );
-            if let Some(path) = ckpt.as_ref() {
-                driver = driver
-                    .checkpoint_to(path.clone(), spec.checkpoint_every.map(Cadence::EverySteps));
-            }
-        } else if let (Some(every), Some(path)) = (spec.checkpoint_every, ckpt.as_ref()) {
-            driver = driver.observe(
-                Cadence::EverySteps(every),
-                CheckpointObserver::autosave(path.clone()),
-            );
-        }
         let t0 = Instant::now();
-        let summary = if spec.controller.is_some() {
-            driver.run_controlled(solver)?
-        } else {
-            driver.run(solver)?
-        };
+        let summary = driver.run(solver)?;
         let wall_s = t0.elapsed().as_secs_f64();
-        let actions = spec
-            .controller
-            .is_some()
-            .then(|| driver.take_action_log().records().to_vec());
-        drop(driver);
+        let actions = driver.take_action_log().records().to_vec();
+        let recoveries = driver.take_recovery_log().records().to_vec();
         // The timed region ran check-free; scan once at the end.
         if let Some((var, pos)) = solver.q.find_non_finite() {
             return Err(SolverError::NonFinite {
@@ -588,74 +507,68 @@ where
             }
             .into());
         }
-        Ok((
-            ScenarioSeries {
-                every: spec.series_every.unwrap_or(0),
-                samples: history.samples,
-            },
-            wall_s,
-            summary.steps,
-            actions,
-            None,
-        ))
+        Ok((wall_s, summary.steps, actions, recoveries))
     };
 
-    match run() {
-        Ok((series, wall_s, steps_timed, actions, recoveries)) => {
-            // The scenario is done: its restart file is consumed (the
-            // result store serves every future submission).
-            if let Some(path) = ckpt.as_ref() {
-                let _ = std::fs::remove_file(path);
-            }
-            let totals1 = solver.q.totals(&case.domain);
-            let base_heating = case.jet_inflow.as_ref().map(|inflow| {
-                BaseHeatingReport::measure(&solver.q, &case.domain, case.gamma, inflow)
-            });
-            ScenarioResult {
+    let cells = case.domain.shape.n_interior();
+    let (wall_s, steps_timed, actions, recoveries) = match run() {
+        Ok(done) => done,
+        Err(e) => {
+            return ScenarioResult {
                 name: case.name.clone(),
-                hash_hex: spec.hash_hex(),
-                status: RunStatus::Completed,
                 cells,
-                steps: spec.steps,
                 ranks: 1,
-                wall_s,
-                ns_per_cell_step: wall_s * 1e9 / (steps_timed.max(1) as f64 * cells as f64),
-                mass_drift: rel_drift(totals0[0], totals1[0]),
-                energy_drift: rel_drift(totals0[4], totals1[4]),
-                base_heating,
-                series: spec.series_every.is_some().then_some(series),
                 resumed_from,
-                actions,
-                recoveries,
+                ..failed_result(spec, e.to_string())
             }
         }
-        Err(e) => ScenarioResult {
-            name: case.name.clone(),
-            hash_hex: spec.hash_hex(),
-            status: RunStatus::Failed(e.to_string()),
-            cells,
-            steps: spec.steps,
-            ranks: 1,
-            wall_s: 0.0,
-            ns_per_cell_step: 0.0,
-            mass_drift: 0.0,
-            energy_drift: 0.0,
-            base_heating: None,
-            series: None,
-            resumed_from,
-            actions: None,
-            recoveries: None,
-        },
+    };
+    // The scenario is done: its restart file is consumed (the result store
+    // serves every future submission).
+    if let Some(path) = ckpt.as_ref() {
+        let _ = std::fs::remove_file(path);
+    }
+    if !recoveries.is_empty() {
+        // Re-run windows re-fire the series observer; keep the last sample
+        // per step (the one from the surviving timeline) so the recorded
+        // series matches an uninterrupted replay.
+        let last: std::collections::BTreeMap<usize, _> =
+            history.samples.drain(..).map(|sm| (sm.step, sm)).collect();
+        history.samples = last.into_values().collect();
+    }
+    let totals1 = solver.q.totals(&case.domain);
+    ScenarioResult {
+        name: case.name.clone(),
+        hash_hex: spec.hash_hex(),
+        status: RunStatus::Completed,
+        cells,
+        steps: spec.steps,
+        ranks: 1,
+        wall_s,
+        ns_per_cell_step: wall_s * 1e9 / (steps_timed.max(1) as f64 * cells as f64),
+        mass_drift: rel_drift(totals0[0], totals1[0]),
+        energy_drift: rel_drift(totals0[4], totals1[4]),
+        base_heating: case
+            .jet_inflow
+            .as_ref()
+            .map(|inflow| BaseHeatingReport::measure(&solver.q, &case.domain, case.gamma, inflow)),
+        series: spec.series_every.map(|every| ScenarioSeries {
+            every,
+            samples: history.samples,
+        }),
+        resumed_from,
+        actions: spec.controller.is_some().then_some(actions),
+        recoveries: spec.recovery.is_some().then_some(recoveries),
     }
 }
 
 /// Decomposed (multi-rank) path: the whole run goes through `igr-app`'s
-/// rank driver, which has no warmup/timed split — so every step (warmup
-/// included) is timed and the grind normalizes by that same total count.
-/// The timer necessarily wraps rank spawn/gather too, so the number is an
-/// upper bound relative to the single-block path.
+/// rank launcher, which has no warmup/timed split — so every step marched
+/// (warmup included) is timed and the grind normalizes by that count. The
+/// timer necessarily wraps rank spawn/gather too, so the number is an upper
+/// bound relative to the single-block path.
 ///
-/// Takes an optional restart-file directory.
+/// Takes the restart-file directory (already created by the caller).
 /// When the spec enables checkpointing, each rank autosaves its shard to
 /// `<dir>/<hash>.rank<N>.ckpt`; a resubmission whose per-rank file set is
 /// complete and consistent resumes mid-flight (on *any* node holding the
@@ -671,21 +584,15 @@ fn run_decomposed_scenario_with(
     let init = case.init.clone();
     let steps = spec.warmup + spec.steps;
     let cells = case.domain.shape.n_interior();
-    let ckpt = match (spec.checkpoint_every, checkpoint_dir) {
-        (Some(every), Some(dir)) => {
-            if let Err(e) = std::fs::create_dir_all(dir) {
-                return failed_result(spec, format!("checkpoint dir {dir:?}: {e}"));
-            }
-            Some(DecompCheckpointing {
-                dir: dir.to_path_buf(),
-                stem: spec.hash_hex(),
-                every,
-            })
-        }
-        _ => None,
-    };
+    let ckpt = checkpoint_dir
+        .zip(spec.checkpoint_every)
+        .map(|(dir, every)| DecompCheckpointing {
+            dir: dir.to_path_buf(),
+            stem: spec.hash_hex(),
+            every,
+        });
     let t0 = Instant::now();
-    let res = run_decomposed_resumable::<f64, StoreF64>(
+    let run = run_decomposed::<f64, StoreF64>(
         &cfg,
         &case.domain,
         ranks,
@@ -695,7 +602,6 @@ fn run_decomposed_scenario_with(
         &[],
     );
     let wall_s = t0.elapsed().as_secs_f64();
-    let run = res.run;
     let totals0: [f64; 5] = case.init_state::<f64, StoreF64>().totals(&case.domain);
     let totals1 = run.state.totals(&case.domain);
     let status = match run.state.find_non_finite() {
@@ -715,22 +621,24 @@ fn run_decomposed_scenario_with(
         .jet_inflow
         .as_ref()
         .map(|inflow| BaseHeatingReport::measure(&run.state, &case.domain, case.gamma, inflow));
+    // A resumed run marched (and timed) only the steps past its restart.
+    let steps_timed = steps - run.resumed_from.unwrap_or(0);
     ScenarioResult {
         name: case.name.clone(),
         hash_hex: spec.hash_hex(),
         status,
         cells,
-        // Every step of the decomposed run is timed, so both the reported
-        // step count and the grind normalization use the full total.
+        // Every step of the decomposed run counts as measured, so the
+        // reported step count is the full total.
         steps,
         ranks,
         wall_s,
-        ns_per_cell_step: wall_s * 1e9 / (steps.max(1) as f64 * cells as f64),
+        ns_per_cell_step: wall_s * 1e9 / (steps_timed.max(1) as f64 * cells as f64),
         mass_drift: rel_drift(totals0[0], totals1[0]),
         energy_drift: rel_drift(totals0[4], totals1[4]),
         base_heating,
         series: None,
-        resumed_from: res.resumed_from,
+        resumed_from: run.resumed_from,
         actions: None,
         recoveries: None,
     }
@@ -744,6 +652,7 @@ fn rel_drift(before: f64, after: f64) -> f64 {
 mod tests {
     use super::*;
     use crate::spec::BaseCase;
+    use igr_app::recovery::RecoveryRecord;
 
     fn quick_spec() -> ScenarioSpec {
         let mut s = ScenarioSpec::new(BaseCase::SteepeningWave { amp: 0.2 }, 48);
@@ -1037,7 +946,7 @@ mod tests {
         // autosave on, as the worker on the dying node would have.
         let cfg = spec.igr_config(&case);
         let init = case.init.clone();
-        let cut = run_decomposed_resumable::<f64, StoreF64>(
+        let cut = run_decomposed::<f64, StoreF64>(
             &cfg,
             &case.domain,
             2,
@@ -1061,6 +970,14 @@ mod tests {
         let resumed = run_scenario_with(&spec, Some(&dir));
         assert!(resumed.status.is_ok(), "{:?}", resumed.status);
         assert_eq!(resumed.resumed_from, Some(2), "must not restart from t=0");
+        // Only the 2 steps past the cut were marched and timed: the grind
+        // normalizes by those, not by the scenario's 4.
+        let per_marched_step = resumed.wall_s * 1e9 / (2.0 * resumed.cells as f64);
+        assert_eq!(
+            resumed.ns_per_cell_step.to_bits(),
+            per_marched_step.to_bits(),
+            "a resumed run must not dilute its grind with steps it never ran"
+        );
         assert_eq!(resumed.mass_drift.to_bits(), fresh.mass_drift.to_bits());
         assert_eq!(resumed.energy_drift.to_bits(), fresh.energy_drift.to_bits());
         for rank in 0..2 {
@@ -1250,9 +1167,11 @@ mod tests {
                 let path = dir.join(format!("{}.ckpt", spec.hash_hex()));
                 let policy = spec.recovery.as_ref().unwrap().to_policy();
                 let mut driver = Driver::new()
+                    .stop_when(StopCondition::StepReached(6))
+                    .recover(policy)
                     .checkpoint_to(path.clone(), None)
                     .inject_nan_at(6);
-                driver.run_recovered(&mut solver, &policy, 6).unwrap();
+                driver.run(&mut solver).unwrap();
                 assert!(
                     !driver.take_recovery_log().is_empty(),
                     "the crash happens mid-recovery, after the rollback"

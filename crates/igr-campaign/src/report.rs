@@ -7,6 +7,7 @@
 //! serialization crates exist in this environment, so the writer is
 //! hand-rolled), CSV, and a fixed-width text table.
 
+use crate::persist::json_str;
 use igr_app::actions::{Action, ActionRecord};
 use igr_app::base::BaseHeatingReport;
 use igr_app::diagnostics::Sample;
@@ -474,24 +475,6 @@ fn json_f64(x: f64) -> String {
     } else {
         "null".into()
     }
-}
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 fn csv_str(s: &str) -> String {

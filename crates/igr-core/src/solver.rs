@@ -27,6 +27,12 @@ pub trait GhostOps<R: Real, S: Storage<R>>: Send {
     fn fill_state(&mut self, q: &mut State<R, S>, t: f64);
     /// Fill the ghosts of a scalar field (the entropic pressure).
     fn fill_scalar(&mut self, f: &mut Field<R, S>);
+    /// Turn this block's CFL time step into the one every block of the run
+    /// must share. A single block is the whole run (identity, the default);
+    /// decomposed ghost ops min-reduce across ranks.
+    fn reduce_dt(&mut self, local_dt: f64) -> f64 {
+        local_dt
+    }
 }
 
 /// Plain boundary-condition ghost fill on all faces, with static inflow
@@ -381,19 +387,30 @@ impl<R: Real, S: Storage<R>, Sch: RhsScheme<R, S>, G: GhostOps<R, S>> Solver<R, 
         &self.domain
     }
 
-    /// CFL-limited time step for the current state.
+    /// CFL-limited time step for this block's current state.
     pub fn stable_dt(&self) -> f64 {
         let p = self.scheme.params();
         self.q.max_dt(&self.domain, p.gamma, p.mu, p.zeta, p.cfl)
     }
 
+    /// The adaptive time step the whole run takes next: [`Solver::stable_dt`]
+    /// passed through [`GhostOps::reduce_dt`] (a collective on decomposed
+    /// runs — every rank must call it the same number of times).
+    pub fn global_dt(&mut self) -> f64 {
+        let local = self.stable_dt();
+        self.ghost.reduce_dt(local)
+    }
+
     /// Advance one step. Returns the step record or the detected failure.
     pub fn step(&mut self) -> Result<StepInfo, SolverError> {
         let _sp_step = igr_obs::span!("solver.step");
-        let dt = self.fixed_dt.unwrap_or_else(|| {
-            let _sp = igr_obs::span!("solver.cfl");
-            self.stable_dt()
-        });
+        let dt = match self.fixed_dt {
+            Some(dt) => dt,
+            None => {
+                let _sp = igr_obs::span!("solver.cfl");
+                self.global_dt()
+            }
+        };
         if !(dt > 0.0 && dt.is_finite()) {
             return Err(SolverError::DegenerateDt {
                 step: self.step_count,

@@ -16,6 +16,7 @@
 //! | `no-unordered-iteration-in-codecs` | no `HashMap`/`HashSet` in persist/protocol/checkpoint encoders |
 //! | `panic-policy` | no `.unwrap()`/`.expect(` in non-test library code of core crates |
 //! | `docs-policy` | public-surface crates carry `#![deny(missing_docs)]` |
+//! | `single-march-loop` | only `Driver::run` and the grind probe call `.step()` in app/campaign library code |
 
 use crate::findings::Finding;
 use crate::lexer;
@@ -78,6 +79,13 @@ pub struct RuleConfig {
     /// `docs-policy`: lib.rs files excluded from the missing_docs
     /// requirement (vendored stand-ins are API mirrors, not public surface).
     pub docs_exempt_prefixes: Vec<&'static str>,
+    /// `single-march-loop`: crate source prefixes whose non-test library
+    /// code must march through `Driver::run` instead of calling `.step()`.
+    pub march_loop_prefixes: Vec<&'static str>,
+    /// `single-march-loop`: the files under those prefixes that own a
+    /// marching loop (the driver itself, and the grind probe whose timed
+    /// region must contain nothing but steps).
+    pub march_loop_files: Vec<&'static str>,
 }
 
 impl Default for RuleConfig {
@@ -101,6 +109,11 @@ impl Default for RuleConfig {
                 "crates/igr-campaign/src/",
             ],
             docs_exempt_prefixes: vec!["vendor/"],
+            march_loop_prefixes: vec!["crates/igr-app/src/", "crates/igr-campaign/src/"],
+            march_loop_files: vec![
+                "crates/igr-app/src/driver.rs",
+                "crates/igr-app/src/grind.rs",
+            ],
         }
     }
 }
@@ -130,6 +143,7 @@ pub fn run_all(files: &[SourceFile], cfg: &RuleConfig, out: &mut Vec<Finding>) {
         );
         panic_policy(f, cfg, out);
         docs_policy(f, cfg, out);
+        single_march_loop(f, cfg, out);
     }
 }
 
@@ -227,8 +241,50 @@ fn panic_policy(f: &SourceFile, cfg: &RuleConfig, out: &mut Vec<Finding>) {
     if !applies {
         return;
     }
+    banned_calls_outside_tests(
+        f,
+        &[".unwrap()", ".expect("],
+        "panic-policy",
+        "unwrap/expect in non-test library code — return an error or \
+         justify the invariant in lint.allow",
+        out,
+    );
+}
+
+/// `single-march-loop`: `.step()` outside `#[cfg(test)]` regions of the
+/// configured crates' library sources, except in the files that own a
+/// marching loop. Every capability (observe, act, recover, decompose)
+/// composes on `Driver::run`; a second hand-rolled loop gets none of them.
+fn single_march_loop(f: &SourceFile, cfg: &RuleConfig, out: &mut Vec<Finding>) {
+    let applies = cfg
+        .march_loop_prefixes
+        .iter()
+        .any(|p| f.rel_path.starts_with(p))
+        && !cfg.march_loop_files.contains(&f.rel_path.as_str());
+    if !applies {
+        return;
+    }
+    banned_calls_outside_tests(
+        f,
+        &[".step()"],
+        "single-march-loop",
+        "`.step()` outside the driver — march through `Driver::run` and attach what \
+         the run needs (observe/control/recover/checkpoint_to) instead of a second loop",
+        out,
+    );
+}
+
+/// Shared scanner for "these call patterns must not appear in this file's
+/// non-test code".
+fn banned_calls_outside_tests(
+    f: &SourceFile,
+    patterns: &[&str],
+    rule: &'static str,
+    message: &str,
+    out: &mut Vec<Finding>,
+) {
     let tests = test_regions(&f.code);
-    for pat in [".unwrap()", ".expect("] {
+    for pat in patterns {
         let mut from = 0usize;
         while let Some(rel) = f.code[from..].find(pat) {
             let at = from + rel;
@@ -238,13 +294,11 @@ fn panic_policy(f: &SourceFile, cfg: &RuleConfig, out: &mut Vec<Finding>) {
             }
             let (line, snippet) = f.line_at(at);
             out.push(Finding {
-                rule: "panic-policy",
+                rule,
                 file: f.rel_path.clone(),
                 line,
                 snippet,
-                message: "unwrap/expect in non-test library code — return an error or \
-                          justify the invariant in lint.allow"
-                    .into(),
+                message: message.into(),
                 allowed: false,
                 justification: None,
             });

@@ -99,6 +99,32 @@ fn panic_policy_skips_cfg_test_regions() {
 }
 
 #[test]
+fn single_march_loop_fires_outside_the_driver_only() {
+    // A parallel.rs-like file: exactly the library loop fires — not the
+    // test-region call, the string, or the comment.
+    let findings = scan_as("crates/igr-app/src/parallel.rs", "march_loop.rs");
+    assert_eq!(findings.len(), 1, "got {findings:?}");
+    let (rule, line, snippet) = &findings[0];
+    assert_eq!(rule, "single-march-loop");
+    assert_eq!(*line, 7, "must flag the loop body: {snippet}");
+    assert_eq!(
+        scan_as("crates/igr-campaign/src/exec.rs", "march_loop.rs").len(),
+        1
+    );
+
+    // The files that own a marching loop, and crates outside the rule's
+    // scope, are silent.
+    for path in [
+        "crates/igr-app/src/driver.rs",
+        "crates/igr-app/src/grind.rs",
+        "crates/igr-bench/src/bin/fig2.rs",
+    ] {
+        let elsewhere = scan_as(path, "march_loop.rs");
+        assert!(elsewhere.is_empty(), "{path}: {elsewhere:?}");
+    }
+}
+
+#[test]
 fn allowlist_hit_suppresses_and_miss_goes_stale() {
     let file = SourceFile::new(
         "crates/igr-core/src/fake.rs".to_string(),

@@ -8,7 +8,7 @@
 //! spent 16 wall-clock hours on 9.2 K GH200s; nobody restarts those from
 //! t = 0): `CheckpointObserver` autosaves while the `Driver` marches, and
 //! `Driver::resume_from` restores the state, the entropic pressure Σ, the
-//! march clock, and any pinned dt.
+//! march clock, and any pinned dt from the loaded restart file.
 //!
 //! ```bash
 //! cargo run --release --example checkpoint_resume
@@ -45,12 +45,11 @@ where
 
     // Resume into a *fresh* solver and finish the timeline.
     let mut resumed = case.igr_solver::<R, S>();
-    let ck = Driver::<_>::resume_from(&mut resumed, &path).expect("restore");
+    let ck = igr::app::Checkpoint::load(&path).expect("load");
     assert_eq!(ck.step, CUT_AT);
-    Driver::new()
-        .max_steps(TOTAL_STEPS - CUT_AT)
-        .run(&mut resumed)
-        .expect("resumed run");
+    let mut driver = Driver::new().max_steps(TOTAL_STEPS - CUT_AT);
+    driver.resume_from(&mut resumed, &ck).expect("restore");
+    driver.run(&mut resumed).expect("resumed run");
 
     let diff = straight.q.max_diff(&resumed.q);
     println!(
@@ -92,11 +91,12 @@ fn two_fluid() {
     drop(first);
 
     let mut resumed = make();
-    Driver::<_>::resume_from(&mut resumed, &path).expect("species restore");
-    Driver::new()
-        .max_steps(TOTAL_STEPS - CUT_AT)
-        .run(&mut resumed)
-        .expect("species resumed");
+    let ck = igr::app::Checkpoint::load(&path).expect("species load");
+    let mut driver = Driver::new().max_steps(TOTAL_STEPS - CUT_AT);
+    driver
+        .resume_from(&mut resumed, &ck)
+        .expect("species restore");
+    driver.run(&mut resumed).expect("species resumed");
 
     let diff = straight.q.max_diff(&resumed.q);
     println!("{:>18}: max |diff| = {diff:e}", "species fp64");

@@ -89,9 +89,7 @@ fn main() {
     let mut d_open = Driver::new()
         .max_steps(TOTAL_STEPS)
         .control(Cadence::EveryStep, fault());
-    d_open
-        .run_controlled(&mut open)
-        .expect("open-loop run stays finite");
+    d_open.run(&mut open).expect("open-loop run stays finite");
     let open_cost = asymmetry_cost(&open.q, &case);
 
     // 2. Closed loop: same fault, plus proportional gimbal feedback on the
@@ -105,7 +103,7 @@ fn main() {
             GimbalFeedbackController::with_gain(1.5),
         );
     d_closed
-        .run_controlled(&mut closed)
+        .run(&mut closed)
         .expect("closed-loop run stays finite");
     let closed_cost = asymmetry_cost(&closed.q, &case);
     let log = d_closed.action_log();

@@ -16,7 +16,7 @@
 
 use igr::app::checkpoint::Checkpoint;
 use igr::app::driver::Checkpointable;
-use igr::app::recovery::{RecoveryLog, RecoveryPolicy};
+use igr::app::recovery::{InjectNan, RecoveryLog, RecoveryPolicy};
 use igr::prelude::*;
 
 /// The chaos injection: one cell goes NaN at this absolute step boundary.
@@ -34,6 +34,15 @@ fn policy() -> RecoveryPolicy {
         dt_backoff_factor: 0.5,
         backoff_hold_steps: 6,
     }
+}
+
+/// A self-healing driver marching to absolute step `until`, with the chaos
+/// injection armed.
+fn armed<'a, P: Checkpointable + InjectNan>(until: usize) -> Driver<'a, P> {
+    Driver::new()
+        .stop_when(StopCondition::StepReached(until))
+        .recover(policy())
+        .inject_nan_at(INJECT_AT)
 }
 
 /// Render the recovery log as a JSON array (the CI artifact).
@@ -69,7 +78,6 @@ fn main() {
         .nth(1)
         .unwrap_or_else(|| "recovery_log.json".into());
     let case = cases::super_heavy_3d(12);
-    let policy = policy();
     println!(
         "33-engine case, {} cells; NaN injected at step {INJECT_AT}, {TOTAL_STEPS} steps total",
         case.domain.shape.n_interior()
@@ -77,8 +85,8 @@ fn main() {
 
     // 1. The poisoned run heals itself.
     let mut healed = case.igr_solver::<f64, StoreF64>();
-    let mut d = Driver::new().inject_nan_at(INJECT_AT);
-    d.run_recovered(&mut healed, &policy, TOTAL_STEPS)
+    let mut d = armed(TOTAL_STEPS);
+    d.run(&mut healed)
         .expect("recovery must absorb the injected NaN");
     let log = d.take_recovery_log();
     assert!(!log.is_empty(), "the injection must trip the guard");
@@ -93,9 +101,8 @@ fn main() {
 
     // 2. A rerun reproduces the healed trajectory and its log bit for bit.
     let mut rerun = case.igr_solver::<f64, StoreF64>();
-    let mut d2 = Driver::new().inject_nan_at(INJECT_AT);
-    d2.run_recovered(&mut rerun, &policy, TOTAL_STEPS)
-        .expect("rerun heals identically");
+    let mut d2 = armed(TOTAL_STEPS);
+    d2.run(&mut rerun).expect("rerun heals identically");
     let rerun_log = d2.take_recovery_log();
     assert_eq!(
         healed.q.max_diff(&rerun.q),
@@ -116,10 +123,8 @@ fn main() {
     let ckpt = std::env::temp_dir().join("recovery_example.ckpt");
     let _ = std::fs::remove_file(&ckpt);
     let mut dying = case.igr_solver::<f64, StoreF64>();
-    let mut d3 = Driver::new()
-        .checkpoint_to(&ckpt, None)
-        .inject_nan_at(INJECT_AT);
-    d3.run_recovered(&mut dying, &policy, CRASH_AT)
+    let mut d3 = armed(CRASH_AT).checkpoint_to(&ckpt, None);
+    d3.run(&mut dying)
         .expect("partial run reaches the crash point");
     assert!(
         !d3.take_recovery_log().is_empty(),
@@ -133,12 +138,10 @@ fn main() {
         "RECLOG trailer rode the autosave"
     );
     let mut resumed = case.igr_solver::<f64, StoreF64>();
-    resumed.restore(&ck).expect("snapshot restores bit-exactly");
-    let mut d4 = Driver::new()
-        .seed_recoveries(ck.recoveries.clone())
-        .inject_nan_at(INJECT_AT); // armed, but the seeded log suppresses it
-    d4.run_recovered(&mut resumed, &policy, TOTAL_STEPS)
-        .expect("resumed run finishes");
+    let mut d4 = armed(TOTAL_STEPS); // injection armed, but the seeded log suppresses it
+    d4.resume_from(&mut resumed, &ck)
+        .expect("snapshot restores bit-exactly");
+    d4.run(&mut resumed).expect("resumed run finishes");
     let resumed_log = d4.take_recovery_log();
     assert_eq!(
         healed.q.max_diff(&resumed.q),

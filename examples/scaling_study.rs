@@ -23,11 +23,19 @@ fn main() {
         "ranks", "halo bytes", "msgs sent", "max |diff| vs 1 rank"
     );
     let i1 = case.init.clone();
-    let reference = run_decomposed::<f64, StoreF64>(&cfg, &case.domain, 1, steps, move |p| i1(p));
+    let reference =
+        run_decomposed::<f64, StoreF64>(&cfg, &case.domain, 1, steps, move |p| i1(p), None, &[]);
     for ranks in [1usize, 2, 4] {
         let init = case.init.clone();
-        let run =
-            run_decomposed::<f64, StoreF64>(&cfg, &case.domain, ranks, steps, move |p| init(p));
+        let run = run_decomposed::<f64, StoreF64>(
+            &cfg,
+            &case.domain,
+            ranks,
+            steps,
+            move |p| init(p),
+            None,
+            &[],
+        );
         let diff = reference.state.max_diff(&run.state);
         println!(
             "{:>6} {:>16} {:>18} {:>22.1e}",

@@ -92,8 +92,8 @@ proptest! {
         let init = move |p: [f64; 3]| {
             Prim::new(1.0 + 0.2 * a0 * (tau * p[0] + p0).sin(), [0.3, 0.0, 0.0], 1.0)
         };
-        let single = igr::app::run_decomposed::<f64, StoreF64>(&cfg, &domain, 1, 4, init);
-        let multi = igr::app::run_decomposed::<f64, StoreF64>(&cfg, &domain, ranks, 4, init);
+        let single = igr::app::run_decomposed::<f64, StoreF64>(&cfg, &domain, 1, 4, init, None, &[]);
+        let multi = igr::app::run_decomposed::<f64, StoreF64>(&cfg, &domain, ranks, 4, init, None, &[]);
         prop_assert_eq!(single.state.max_diff(&multi.state), 0.0);
     }
 

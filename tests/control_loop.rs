@@ -12,7 +12,7 @@
 //!    equivalence contract survives closed-loop control.
 
 use igr::app::actions::{Action, ActionLog};
-use igr::app::checkpoint::CheckpointScalar;
+use igr::app::checkpoint::{Checkpoint, CheckpointScalar};
 use igr::app::driver::{Cadence, Driver, ScheduledActions};
 use igr::core::config::KernelPath;
 use igr::core::State;
@@ -61,7 +61,7 @@ where
     let mut d = Driver::new()
         .max_steps(total)
         .control(Cadence::EverySteps(1), schedule());
-    d.run_controlled(&mut straight).unwrap();
+    d.run(&mut straight).unwrap();
     let straight_log: ActionLog = d.take_action_log();
     assert_eq!(
         straight_log.len(),
@@ -75,17 +75,18 @@ where
         .max_steps(cut)
         .control(Cadence::EverySteps(1), schedule())
         .checkpoint_to(&path, Some(Cadence::EverySteps(3)));
-    d1.run_controlled(&mut first).unwrap();
+    d1.run(&mut first).unwrap();
 
     // Resume into a fresh solver: restore + replay the embedded log, then
     // march the remainder with the tail of the schedule.
     let mut resumed = case.igr_solver::<R, S>();
     let mut d2 = Driver::new().max_steps(total - cut);
-    let ck = d2.resume_controlled(&mut resumed, &path).unwrap();
+    let ck = Checkpoint::load(&path).unwrap();
+    d2.resume_from(&mut resumed, &ck).unwrap();
     assert_eq!(ck.step, cut, "snapshot lands on the autosave boundary");
     assert_eq!(ck.actions.len(), 3, "the log rides the restart file");
     let mut d2 = d2.control(Cadence::EverySteps(1), schedule().skip_through(ck.step));
-    d2.run_controlled(&mut resumed).unwrap();
+    d2.run(&mut resumed).unwrap();
 
     assert_eq!(resumed.steps_taken(), total);
     assert_eq!(
@@ -120,7 +121,7 @@ fn run_with_actions(kernel: KernelPath) -> State<f64, StoreF64> {
     let mut d = Driver::new()
         .max_steps(14)
         .control(Cadence::EverySteps(1), schedule());
-    d.run_controlled(&mut solver).unwrap();
+    d.run(&mut solver).unwrap();
     assert_eq!(d.action_log().len(), 3);
     solver.q
 }

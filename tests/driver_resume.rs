@@ -4,10 +4,24 @@
 //! f64 storage, for the IGR scheme (Σ rides the snapshot), the WENO
 //! baseline (stateless scheme), and with a pinned dt (grind-style runs).
 
-use igr::app::checkpoint::CheckpointScalar;
-use igr::app::driver::{Cadence, CheckpointObserver, Driver, StopCondition, StopReason};
+use igr::app::checkpoint::{Checkpoint, CheckpointScalar};
+use igr::app::driver::{
+    Cadence, CheckpointObserver, Checkpointable, Driver, DriverError, StopCondition, StopReason,
+};
+use igr::app::Actuate;
 use igr::prec::{Real, Storage};
 use igr::prelude::*;
+
+/// Load the restart file at `path` and re-enter `sys` from it through the
+/// driver's one resume method.
+fn resume_from<P: Checkpointable + Actuate>(
+    sys: &mut P,
+    path: &std::path::Path,
+) -> Result<Checkpoint, DriverError> {
+    let ck = Checkpoint::load(path)?;
+    Driver::new().resume_from(sys, &ck)?;
+    Ok(ck)
+}
 
 fn tmp(name: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join("igr_driver_resume_it");
@@ -38,7 +52,7 @@ where
         .unwrap();
 
     let mut resumed = case.igr_solver::<R, S>();
-    let ck = Driver::<_>::resume_from(&mut resumed, &path).unwrap();
+    let ck = resume_from(&mut resumed, &path).unwrap();
     assert_eq!(ck.step, cut);
     assert!(
         (resumed.t() - first.t()).abs() == 0.0,
@@ -84,7 +98,7 @@ fn weno_baseline_resume_is_bitwise() {
         .unwrap();
 
     let mut resumed = case.weno_solver::<f64, StoreF64>();
-    Driver::<_>::resume_from(&mut resumed, &path).unwrap();
+    resume_from(&mut resumed, &path).unwrap();
     Driver::new()
         .max_steps(total - cut)
         .run(&mut resumed)
@@ -113,7 +127,7 @@ fn pinned_dt_survives_the_restart_file() {
         .unwrap();
 
     let mut resumed = case.igr_solver::<f64, StoreF64>();
-    let ck = Driver::<_>::resume_from(&mut resumed, &path).unwrap();
+    let ck = resume_from(&mut resumed, &path).unwrap();
     assert_eq!(ck.fixed_dt.unwrap().to_bits(), dt.to_bits());
     assert_eq!(resumed.fixed_dt.unwrap().to_bits(), dt.to_bits());
     Driver::new().max_steps(4).run(&mut resumed).unwrap();
@@ -134,7 +148,7 @@ where
     S::Packed: CheckpointScalar,
 {
     use igr::app::actions::Action;
-    use igr::app::parallel::{rank_ckpt_path, run_decomposed_resumable, DecompCheckpointing};
+    use igr::app::parallel::{rank_ckpt_path, run_decomposed, DecompCheckpointing};
 
     let case = cases::engine_row_2d(16, 3, igr::app::jets::JetConditions::mach10());
     let cfg = case.igr_config();
@@ -155,7 +169,7 @@ where
     };
 
     let i1 = case.init.clone();
-    let straight = run_decomposed_resumable::<R, S>(
+    let straight = run_decomposed::<R, S>(
         &cfg,
         &case.domain,
         ranks,
@@ -166,7 +180,7 @@ where
     );
 
     let i2 = case.init.clone();
-    let interrupted = run_decomposed_resumable::<R, S>(
+    let interrupted = run_decomposed::<R, S>(
         &cfg,
         &case.domain,
         ranks,
@@ -181,7 +195,7 @@ where
     }
 
     let i3 = case.init.clone();
-    let resumed = run_decomposed_resumable::<R, S>(
+    let resumed = run_decomposed::<R, S>(
         &cfg,
         &case.domain,
         ranks,
@@ -192,11 +206,11 @@ where
     );
     assert_eq!(resumed.resumed_from, Some(cut), "picked up at the cut");
     assert_eq!(
-        straight.run.state.max_diff(&resumed.run.state),
+        straight.state.max_diff(&resumed.state),
         0.0,
         "{name}: resumed decomposed run must equal the straight one bitwise"
     );
-    assert_eq!(straight.run.t.to_bits(), resumed.run.t.to_bits());
+    assert_eq!(straight.t.to_bits(), resumed.t.to_bits());
     for rank in 0..ranks {
         let _ = std::fs::remove_file(rank_ckpt_path(&dir, name, rank));
     }
@@ -225,7 +239,7 @@ fn cross_precision_restore_is_refused() {
         .run(&mut f64run)
         .unwrap();
     let mut f32run = case.igr_solver::<f32, StoreF32>();
-    assert!(Driver::<_>::resume_from(&mut f32run, &path).is_err());
+    assert!(resume_from(&mut f32run, &path).is_err());
 }
 
 /// `until` + wall-clock + steady-state compose across solver types; this

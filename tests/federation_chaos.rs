@@ -198,7 +198,7 @@ fn torn_stream_mid_execution_resumes_on_a_peer() {
 /// the uninterrupted run's physics bit for bit.
 #[test]
 fn preempted_two_rank_scenario_resumes_on_a_different_node() {
-    use igr::app::parallel::{rank_ckpt_path, run_decomposed_resumable, DecompCheckpointing};
+    use igr::app::parallel::{rank_ckpt_path, run_decomposed, DecompCheckpointing};
     use igr::prelude::StoreF64;
 
     let dir = std::env::temp_dir().join("igr_federation_chaos_ckpt");
@@ -225,7 +225,7 @@ fn preempted_two_rank_scenario_resumes_on_a_different_node() {
     let case = spec.build_case().unwrap();
     let cfg = spec.igr_config(&case);
     let init = case.init.clone();
-    run_decomposed_resumable::<f64, StoreF64>(
+    run_decomposed::<f64, StoreF64>(
         &cfg,
         &case.domain,
         2,

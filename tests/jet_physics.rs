@@ -96,8 +96,8 @@ fn decomposed_jet_with_inflow_matches_single_rank_closely() {
     };
     let ambient = Prim::new(1.0, [0.0; 3], 1.0);
     let init = move |_: [f64; 3]| ambient;
-    let single = igr::app::run_decomposed::<f64, StoreF64>(&cfg, &domain, 1, 6, init);
-    let multi = igr::app::run_decomposed::<f64, StoreF64>(&cfg, &domain, 4, 6, init);
+    let single = igr::app::run_decomposed::<f64, StoreF64>(&cfg, &domain, 1, 6, init, None, &[]);
+    let multi = igr::app::run_decomposed::<f64, StoreF64>(&cfg, &domain, 4, 6, init, None, &[]);
     let diff = single.state.max_diff(&multi.state);
     assert!(diff < 1e-11, "decomposed jet deviates by {diff}");
 }
