@@ -29,10 +29,10 @@ impl GrindResult {
 /// Time `steps` solver steps after `warmup` untimed ones (first-touch,
 /// cache warm, Σ warm start). Uses a fixed dt captured after warmup so the
 /// timed region is pure stepping, mirroring the paper's timer placement
-/// around time stepping only (§6.3).
+/// around time stepping only (§6.3). The caller's `fixed_dt` and
+/// `nan_check_every` are restored before returning.
 ///
-/// Panics if a step fails; campaign-style batch runners that must survive
-/// diverging scenarios should use [`try_measure_grind`].
+/// Panics if a step fails or the state is non-finite after the timed steps.
 pub fn measure_grind<R, S, Sch, G>(
     solver: &mut Solver<R, S, Sch, G>,
     warmup: usize,
@@ -44,60 +44,43 @@ where
     Sch: RhsScheme<R, S>,
     G: GhostOps<R, S>,
 {
-    try_measure_grind(solver, warmup, steps).expect("grind measurement step failed")
-}
-
-/// [`measure_grind`], but a failing step (NaN blow-up, invalid state) is
-/// returned as an error instead of panicking — one diverging scenario must
-/// not take down a whole ensemble campaign.
-pub fn try_measure_grind<R, S, Sch, G>(
-    solver: &mut Solver<R, S, Sch, G>,
-    warmup: usize,
-    steps: usize,
-) -> Result<GrindResult, igr_core::SolverError>
-where
-    R: Real,
-    S: Storage<R>,
-    Sch: RhsScheme<R, S>,
-    G: GhostOps<R, S>,
-{
     assert!(steps > 0);
-    // Check every warmup step (cheap insurance against bad initial data)...
-    solver.nan_check_every = 1;
-    for _ in 0..warmup {
-        solver.step()?;
-    }
-    // ...but keep the timed region check-free, like `measure_grind` always
-    // did, so the grind number stays a pure stepping cost. Divergence inside
-    // the timed window is caught by the explicit scan below.
-    solver.nan_check_every = 0;
-    // Freeze dt so every timed step does identical work.
-    solver.fixed_dt = Some(solver.stable_dt());
+    let saved = (solver.fixed_dt, solver.nan_check_every);
     let cells = solver.domain().shape.n_interior();
-    let start = Instant::now();
-    for _ in 0..steps {
-        if let Err(e) = solver.step() {
-            // Unfreeze before surfacing the divergence: a caller that
-            // survives the error must not keep stepping on a stale dt.
-            solver.fixed_dt = None;
-            return Err(e);
+    let timed = (|| -> Result<f64, igr_core::SolverError> {
+        // Check every warmup step (cheap insurance against bad initial data)...
+        solver.nan_check_every = 1;
+        for _ in 0..warmup {
+            solver.step()?;
         }
-    }
-    let wall_s = start.elapsed().as_secs_f64();
-    solver.fixed_dt = None;
-    if let Some((var, pos)) = solver.q.find_non_finite() {
-        return Err(igr_core::SolverError::NonFinite {
-            step: solver.steps_taken(),
-            var,
-            pos,
-        });
-    }
-    Ok(GrindResult {
+        // ...but keep the timed region check-free so the grind number stays a
+        // pure stepping cost. Divergence inside the timed window is caught by
+        // the explicit scan below.
+        solver.nan_check_every = 0;
+        // Freeze dt so every timed step does identical work.
+        solver.fixed_dt = Some(solver.stable_dt());
+        let start = Instant::now();
+        for _ in 0..steps {
+            solver.step()?;
+        }
+        let wall_s = start.elapsed().as_secs_f64();
+        match solver.q.find_non_finite() {
+            Some((var, pos)) => Err(igr_core::SolverError::NonFinite {
+                step: solver.steps_taken(),
+                var,
+                pos,
+            }),
+            None => Ok(wall_s),
+        }
+    })();
+    (solver.fixed_dt, solver.nan_check_every) = saved;
+    let wall_s = timed.expect("grind measurement step failed");
+    GrindResult {
         ns_per_cell_step: wall_s * 1e9 / (steps as f64 * cells as f64),
         steps,
         cells,
         wall_s,
-    })
+    }
 }
 
 #[cfg(test)]
@@ -115,6 +98,18 @@ mod tests {
         assert_eq!(g.cells, 128);
         assert!(g.ns_per_cell_step > 0.0 && g.ns_per_cell_step < 1e9);
         assert!(g.wall_s > 0.0);
+    }
+
+    #[test]
+    fn grind_measurement_restores_the_callers_solver_settings() {
+        let case = cases::steepening_wave(64, 0.2);
+        let mut solver = case.igr_solver::<f64, StoreF64>();
+        let dt0 = 0.5 * solver.stable_dt();
+        solver.fixed_dt = Some(dt0);
+        solver.nan_check_every = 3;
+        measure_grind(&mut solver, 2, 3);
+        assert_eq!(solver.fixed_dt, Some(dt0));
+        assert_eq!(solver.nan_check_every, 3);
     }
 
     #[test]

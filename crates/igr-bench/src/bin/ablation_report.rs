@@ -1,7 +1,7 @@
 //! Accuracy-side ablations of the design choices DESIGN.md calls out.
 //!
-//! The criterion benches time these knobs; this harness measures what they
-//! do to the *solution*:
+//! The `benchmark/` harness times the solver; this report measures what
+//! these knobs do to the *solution*:
 //!
 //! 1. α-prefactor sweep → regularized shock width (√α scaling, §5.2);
 //! 2. Jacobi vs Gauss–Seidel residual per sweep (warm-started);

@@ -518,15 +518,39 @@ mod tests {
         assert!((pr.p - 5.0).abs() < 1e-14);
     }
 
-    /// The decomposed runner's per-axis cached fill must replay exactly the
-    /// values the uncached per-axis fill evaluates (static profile), and
-    /// keep replaying them on later fills.
+    /// A jet-lip inflow plane; `moving` makes it depend on `t` and say so.
+    struct Lips {
+        moving: bool,
+    }
+
+    impl InflowProfile for Lips {
+        fn prim(&self, pos: [f64; 3], t: f64) -> Prim<f64> {
+            let t = if self.moving { t } else { 0.0 };
+            let rho = 1.0 + (7.0 * pos[0]).tanh() + 0.3 * (5.0 * pos[1] + t).sin();
+            Prim::new(rho, [0.1 * t, 0.0, 4.0], 1.5 + t)
+        }
+        fn time_varying(&self) -> bool {
+            self.moving
+        }
+    }
+
+    /// Every stored value, ghosts included, as raw bits.
+    fn bits(s: &St) -> Vec<u64> {
+        s.fields()
+            .into_iter()
+            .flat_map(|f| f.packed().iter().map(|v| v.to_bits()))
+            .collect()
+    }
+
+    /// The cached fills must replay exactly the values the uncached fills
+    /// evaluate, and keep replaying them on later fills: per axis (the
+    /// decomposed runner) and for the full 3-D state (`BcGhostOps`), with a
+    /// static profile (memoized) and a time-varying one (re-evaluated at
+    /// every distinct `t`).
     #[test]
     fn cached_axis_fill_matches_uncached_bitwise() {
         let shape = GridShape::new(8, 6, 1, 3);
-        let profile = Arc::new(|pos: [f64; 3], _t: f64| {
-            Prim::new(1.0 + (7.0 * pos[0]).tanh(), [0.0, 4.0, 0.0], 1.5)
-        });
+        let profile = Arc::new(Lips { moving: false });
         let bcs = BcSet::all_outflow().with_face(Axis::Y, 0, Bc::InflowProfile(profile));
         let (mut plain, d) = linear_state(shape);
         let mut cached = plain.clone();
@@ -545,7 +569,27 @@ mod tests {
                     &mut cache,
                 );
             }
-            assert_eq!(plain.max_diff(&cached), 0.0, "cached axis fill diverged");
+            assert!(bits(&plain) == bits(&cached), "cached axis fill diverged");
+        }
+        assert!(cache.planes[1][0].is_some(), "static plane not memoized");
+
+        let shape = GridShape::new(6, 5, 4, 3);
+        for moving in [false, true] {
+            let bcs = BcSet::all_outflow()
+                .with_face(Axis::Z, 0, Bc::InflowProfile(Arc::new(Lips { moving })))
+                .with_face(Axis::X, 1, Bc::Reflective);
+            let (mut plain, d) = linear_state(shape);
+            let mut cached = plain.clone();
+            let mut cache = InflowCache::new();
+            for t in [0.0, 0.25, 0.5, 1.0] {
+                fill_ghosts(&mut plain, &d, &bcs, 1.4, t, &ALL_FACES);
+                fill_ghosts_cached(&mut cached, &d, &bcs, 1.4, t, &ALL_FACES, &mut cache);
+                assert!(
+                    bits(&plain) == bits(&cached),
+                    "cached 3-D fill diverged (moving = {moving}, t = {t})"
+                );
+            }
+            assert_eq!(cache.planes[2][0].is_some(), !moving);
         }
     }
 

@@ -22,31 +22,20 @@ pub enum EllipticKind {
 /// Both paths compute *bitwise identical* results — the fused path reorders
 /// memory traffic (row-buffered SoA loads, slice-level stride arithmetic),
 /// never per-cell floating-point operations. The reference path is retained
-/// as the ground truth the determinism regression tests and `bench_grind`
-/// speedup reports compare against.
+/// as the oracle the determinism regression tests compare against.
 ///
-/// Scope: the selector covers the flux sweeps, the Jacobi point update, and
-/// (via `igr_solver`) the inflow ghost fill. It does *not* resurrect the old
-/// serial lexicographic Gauss–Seidel: [`EllipticKind::GaussSeidel`] is the
-/// parallel red–black ordering on both paths (a deliberate iteration-order
-/// change; see `sigma::gauss_seidel_sweep`). The default
-/// [`EllipticKind::Jacobi`] configuration is unaffected.
+/// Scope: the selector covers the flux sweeps and the Jacobi point update.
+/// It does *not* resurrect the old serial lexicographic Gauss–Seidel:
+/// [`EllipticKind::GaussSeidel`] is the parallel red–black ordering on both
+/// paths (a deliberate iteration-order change; see
+/// `sigma::gauss_seidel_sweep`). The default [`EllipticKind::Jacobi`]
+/// configuration is unaffected.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum KernelPath {
     /// Straight-line per-cell indexing (the pre-optimization kernels).
     Reference,
     /// Row-buffered SoA sweeps + slice-fused elliptic updates (default).
     Fused,
-}
-
-impl KernelPath {
-    /// Name used in bench reports.
-    pub fn label(self) -> &'static str {
-        match self {
-            KernelPath::Reference => "reference",
-            KernelPath::Fused => "fused",
-        }
-    }
 }
 
 /// Spatial reconstruction order of the linear interface interpolation.
@@ -102,8 +91,8 @@ pub struct IgrConfig {
     pub zeta: f64,
     /// IGR strength prefactor: `α = alpha_factor · Δx_max²` (§5.2: α ∝ Δx²).
     pub alpha_factor: f64,
-    /// Hot-kernel implementation (fused default; reference retained for
-    /// determinism tests and speedup baselines).
+    /// Hot-kernel implementation (fused default; reference retained as the
+    /// determinism tests' oracle).
     pub kernel: KernelPath,
     /// Elliptic sweeps per RHS evaluation (paper: ⪅ 5, *warm-started* from
     /// the previous Σ).

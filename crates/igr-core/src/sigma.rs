@@ -379,8 +379,7 @@ fn jacobi_row_kernel<R: Real, S: Storage<R>, const NA: usize>(
 }
 
 /// [`jacobi_sweep`] with the pre-optimization per-cell indexing — the
-/// reference path `bench_grind` reports speedups against and the determinism
-/// regression test pins bitwise equality to.
+/// reference path the determinism regression test pins bitwise equality to.
 pub fn jacobi_sweep_reference<R: Real, S: Storage<R>>(
     rho: &Field<R, S>,
     b: &Field<R, S>,

@@ -37,21 +37,15 @@ pub trait GhostOps<R: Real, S: Storage<R>>: Send {
 
 /// Plain boundary-condition ghost fill on all faces, with static inflow
 /// planes memoized across fills (see [`InflowCache`]).
+///
+/// If you mutate `bcs` or `mask` after stepping has begun, call
+/// [`BcGhostOps::invalidate_inflow_cache`] — cached planes are keyed by
+/// face only and would otherwise keep replaying the old profile.
 pub struct BcGhostOps {
     pub domain: Domain,
     pub bcs: BcSet,
     pub gamma: f64,
     pub mask: FaceMask,
-    /// Memoize static inflow planes (default). `igr_solver` switches this
-    /// off for [`KernelPath::Reference`] so the reference configuration
-    /// reproduces the pre-optimization fill cost — that is what
-    /// `bench_grind`'s `speedup_vs_reference` is measured against. The fill
-    /// *values* are identical either way.
-    ///
-    /// If you mutate `bcs` or `mask` after stepping has begun, call
-    /// [`BcGhostOps::invalidate_inflow_cache`] — cached planes are keyed by
-    /// face only and would otherwise keep replaying the old profile.
-    pub use_inflow_cache: bool,
     inflow_cache: InflowCache,
 }
 
@@ -62,7 +56,6 @@ impl BcGhostOps {
             bcs,
             gamma,
             mask: ALL_FACES,
-            use_inflow_cache: true,
             inflow_cache: InflowCache::new(),
         }
     }
@@ -77,19 +70,15 @@ impl BcGhostOps {
 
 impl<R: Real, S: Storage<R>> GhostOps<R, S> for BcGhostOps {
     fn fill_state(&mut self, q: &mut State<R, S>, t: f64) {
-        if self.use_inflow_cache {
-            fill_ghosts_cached(
-                q,
-                &self.domain,
-                &self.bcs,
-                self.gamma,
-                t,
-                &self.mask,
-                &mut self.inflow_cache,
-            );
-        } else {
-            crate::bc::fill_ghosts(q, &self.domain, &self.bcs, self.gamma, t, &self.mask);
-        }
+        fill_ghosts_cached(
+            q,
+            &self.domain,
+            &self.bcs,
+            self.gamma,
+            t,
+            &self.mask,
+            &mut self.inflow_cache,
+        );
     }
     fn fill_scalar(&mut self, f: &mut Field<R, S>) {
         fill_scalar_ghosts(f, &self.bcs, &self.mask);
@@ -485,11 +474,7 @@ pub fn igr_solver<R: Real, S: Storage<R>>(
     domain: Domain,
     q: State<R, S>,
 ) -> Solver<R, S, IgrScheme<R, S>, BcGhostOps> {
-    let mut ghost = BcGhostOps::new(domain, cfg.bc.clone(), cfg.gamma);
-    // The reference configuration reproduces the pre-optimization hot path
-    // (flux sweeps, Jacobi, and the uncached per-stage inflow evaluation;
-    // Gauss-Seidel ordering is red-black on both paths -- see KernelPath).
-    ghost.use_inflow_cache = cfg.kernel == KernelPath::Fused;
+    let ghost = BcGhostOps::new(domain, cfg.bc.clone(), cfg.gamma);
     let scheme = IgrScheme::new(cfg, domain);
     Solver::new(scheme, ghost, domain, q)
 }

@@ -25,7 +25,6 @@
 //! scheme-to-scheme ratios independently.
 
 #![deny(missing_docs)]
-pub mod bench;
 pub mod capacity;
 pub mod energy;
 pub mod flops;
@@ -33,7 +32,6 @@ pub mod grind;
 pub mod scaling;
 pub mod systems;
 
-pub use bench::{GrindRecord, GrindReport};
 pub use capacity::{CapacityModel, MemoryLayout};
 pub use energy::EnergyModel;
 pub use flops::FlopModel;
