@@ -54,3 +54,9 @@ pub const GHOST_WIDTH: usize = 3;
 /// (ρ, ρu, ρv, ρw, E). This is the paper's "1 quadrillion DoF = 200 T cells
 /// × 5" accounting.
 pub const DOF_PER_CELL: usize = 5;
+
+/// Cells per stack buffer when a kernel converts a row between storage and
+/// compute precision (`Storage::{unpack_view, update_slice, pack_slice}`):
+/// a 48-cell row is one block, and the Jacobi row kernel's seven f64 blocks
+/// take 3.5 KiB of stack.
+pub(crate) const CONVERT_BLOCK: usize = 64;

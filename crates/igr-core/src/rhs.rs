@@ -31,6 +31,7 @@ use crate::config::{KernelPath, ReconOrder};
 use crate::eos::{cons_to_prim, inviscid_flux, max_wave_speed, Cons, Prim, NV};
 use crate::recon::{recon1, recon3, recon5, recon_rows};
 use crate::state::State;
+use crate::CONVERT_BLOCK;
 use igr_grid::{Axis, Domain, Field, GridShape};
 use igr_prec::{Real, Storage};
 use rayon::prelude::*;
@@ -525,18 +526,27 @@ fn load_row<R: Real, S: Storage<R>>(
     buf: &mut RowBuf<R>,
 ) {
     for (v, field) in p.q.fields().into_iter().enumerate() {
-        let src = &field.packed()[start..start + len];
-        let dst = &mut buf.q[v][..len];
-        for (d, &s) in dst.iter_mut().zip(src) {
-            *d = S::unpack(s);
-        }
+        S::unpack_slice(&field.packed()[start..start + len], &mut buf.q[v][..len]);
     }
     if p.use_sigma {
-        let src = &p.sigma.packed()[start..start + len];
-        let dst = &mut buf.s[..len];
-        for (d, &s) in dst.iter_mut().zip(src) {
-            *d = S::unpack(s);
-        }
+        S::unpack_slice(&p.sigma.packed()[start..start + len], &mut buf.s[..len]);
+    }
+}
+
+/// `cells[i] += (lo[i] - hi[i]) * inv_dx`: one flux-difference row of the
+/// fused sweeps, with the cells unpacked and packed a block at a time.
+fn accumulate_row<R: Real, S: Storage<R>>(cells: &mut [S::Packed], lo: &[R], hi: &[R], inv_dx: R) {
+    let mut buf = [R::ZERO; CONVERT_BLOCK];
+    let blocks = cells.chunks_mut(CONVERT_BLOCK);
+    for ((c, lo), hi) in blocks
+        .zip(lo.chunks(CONVERT_BLOCK))
+        .zip(hi.chunks(CONVERT_BLOCK))
+    {
+        S::update_slice(c, &mut buf, |acc| {
+            for ((a, &l), &h) in acc.iter_mut().zip(lo).zip(hi) {
+                *a += (l - h) * inv_dx;
+            }
+        });
     }
 }
 
@@ -921,12 +931,8 @@ fn sweep_x_fused<R: Real, S: Storage<R>>(
 
             // Flux difference per variable: acc += (F_{c-1/2} - F_{c+1/2})/dx.
             for v in 0..NV {
-                let f = &fa[v][..n_if];
                 let row = &mut chunks[v][base - off..base - off + nx];
-                for (c, cell) in row.iter_mut().enumerate() {
-                    let acc = S::unpack(*cell) + (f[c] - f[c + 1]) * inv_dx;
-                    *cell = S::pack(acc);
-                }
+                accumulate_row::<R, S>(row, &fa[v][..nx], &fa[v][1..n_if], inv_dx);
             }
         }
     }
@@ -1046,12 +1052,8 @@ fn sweep_yz_fused<R: Real, S: Storage<R>>(
             flux_row_from_window(p, d, row, win, ql, qr, sl, sr, prim, hi, nx);
 
             for v in 0..NV {
-                let (flo, fhi) = (&lo[v][..nx], &hi[v][..nx]);
                 let cells = &mut chunks[v][row - off..row - off + nx];
-                for (i, cell) in cells.iter_mut().enumerate() {
-                    let acc = S::unpack(*cell) + (flo[i] - fhi[i]) * inv_dx;
-                    *cell = S::pack(acc);
-                }
+                accumulate_row::<R, S>(cells, &lo[v][..nx], &hi[v][..nx], inv_dx);
             }
             std::mem::swap(&mut lo, &mut hi);
         }

@@ -12,6 +12,7 @@
 //! to far below the discretization error (§5.2).
 
 use crate::state::State;
+use crate::CONVERT_BLOCK;
 use igr_grid::{Axis, Domain, Field, GridShape};
 use igr_prec::{Real, Storage};
 use rayon::prelude::*;
@@ -62,18 +63,23 @@ pub fn compute_igr_source<R: Real, S: Storage<R>>(
     let ext = usize::from(active[0]);
     // Velocity of row (j, k) over i = -ext..nx+ext: one reciprocal per
     // cell, exactly the reference's `inv_rho = 1/ρ; u_a = m_a · inv_rho`.
-    let fill_row = |dst: &mut Vec<[R; 3]>, j: i32, k: i32| {
+    // `conv` holds one block of the four unpacked rows.
+    let fill_row = |conv: &mut [[R; CONVERT_BLOCK]; 4], dst: &mut Vec<[R; 3]>, j: i32, k: i32| {
         dst.clear();
-        let base = shape.idx(-(ext as i32), j, k);
-        dst.extend((0..nx + 2 * ext).map(|o| {
-            let lin = base + o;
-            let inv_rho = R::ONE / S::unpack(rho_p[lin]);
-            [
-                S::unpack(mx_p[lin]) * inv_rho,
-                S::unpack(my_p[lin]) * inv_rho,
-                S::unpack(mz_p[lin]) * inv_rho,
-            ]
-        }));
+        let start = shape.idx(-(ext as i32), j, k);
+        let end = start + nx + 2 * ext;
+        for at in (start..end).step_by(CONVERT_BLOCK) {
+            let n = CONVERT_BLOCK.min(end - at);
+            let [b0, b1, b2, b3] = conv.each_mut();
+            let rho = S::unpack_view(&rho_p[at..at + n], b0);
+            let mx = S::unpack_view(&mx_p[at..at + n], b1);
+            let my = S::unpack_view(&my_p[at..at + n], b2);
+            let mz = S::unpack_view(&mz_p[at..at + n], b3);
+            dst.extend((0..n).map(|o| {
+                let inv_rho = R::ONE / rho[o];
+                [mx[o] * inv_rho, my[o] * inv_rho, mz[o] * inv_rho]
+            }));
+        }
     };
 
     out.packed_mut()
@@ -84,6 +90,7 @@ pub fn compute_igr_source<R: Real, S: Storage<R>>(
             if k < 0 || k >= shape.nz as i32 {
                 return;
             }
+            let conv = &mut [[R::ZERO; CONVERT_BLOCK]; 4];
             // Rolling window over the k-plane: rows j−1, j, j+1. The z-rows
             // (j, k±1) belong to other layers' windows and are refilled per j.
             let mut c: Vec<[R; 3]> = Vec::with_capacity(nx + 2 * ext);
@@ -91,10 +98,10 @@ pub fn compute_igr_source<R: Real, S: Storage<R>>(
             let mut jp: Vec<[R; 3]> = Vec::new();
             let mut km: Vec<[R; 3]> = Vec::new();
             let mut kp: Vec<[R; 3]> = Vec::new();
-            fill_row(&mut c, 0, k);
+            fill_row(conv, &mut c, 0, k);
             if active[1] {
-                fill_row(&mut jm, -1, k);
-                fill_row(&mut jp, 1, k);
+                fill_row(conv, &mut jm, -1, k);
+                fill_row(conv, &mut jp, 1, k);
             }
             for j in 0..ny as i32 {
                 if j > 0 {
@@ -102,11 +109,11 @@ pub fn compute_igr_source<R: Real, S: Storage<R>>(
                     // becomes the centre; only row j+1 is computed fresh.
                     std::mem::swap(&mut jm, &mut c);
                     std::mem::swap(&mut c, &mut jp);
-                    fill_row(&mut jp, j + 1, k);
+                    fill_row(conv, &mut jp, j + 1, k);
                 }
                 if active[2] {
-                    fill_row(&mut km, j, k - 1);
-                    fill_row(&mut kp, j, k + 1);
+                    fill_row(conv, &mut km, j, k - 1);
+                    fill_row(conv, &mut kp, j, k + 1);
                 }
                 for i in 0..nx as i32 {
                     let o = i as usize + ext;
@@ -308,7 +315,6 @@ fn jacobi_rows<R: Real, S: Storage<R>, const NA: usize>(
                     sig_p,
                     &mut chunk[off..off + nx],
                     base,
-                    nx,
                     alpha,
                     &c,
                 );
@@ -334,7 +340,6 @@ fn jacobi_rows<R: Real, S: Storage<R>, const NA: usize>(
                     sig_p,
                     &mut chunk[off..off + nx],
                     base,
-                    nx,
                     alpha,
                     &c,
                 );
@@ -342,10 +347,12 @@ fn jacobi_rows<R: Real, S: Storage<R>, const NA: usize>(
         });
 }
 
-/// One interior row of the fused Jacobi sweep. Center/neighbour rows are
-/// plain slices: one ghost-offset computation per row, unit stride across
-/// `i`, so the autovectorizer can batch the divisions.
-#[allow(clippy::too_many_arguments)]
+/// One interior row of the fused Jacobi sweep, starting at linear index
+/// `base`. Each block of the 2 + 4·NA rows it reads is unpacked once; the
+/// cell loops are then unit stride over compute-precision rows, so the
+/// autovectorizer can batch the divisions. One pass per active axis, in
+/// axis order, applies to every cell the same operations in the same order
+/// as a single per-cell loop over the axes.
 #[inline]
 fn jacobi_row_kernel<R: Real, S: Storage<R>, const NA: usize>(
     rho_p: &[S::Packed],
@@ -353,28 +360,38 @@ fn jacobi_row_kernel<R: Real, S: Storage<R>, const NA: usize>(
     sig_p: &[S::Packed],
     out: &mut [S::Packed],
     base: usize,
-    nx: usize,
     alpha: R,
     c: &[(usize, R); NA],
 ) {
-    let rc_s = &rho_p[base..base + nx];
-    let bc_s = &b_p[base..base + nx];
-    let rp_s: [&[S::Packed]; NA] = std::array::from_fn(|a| &rho_p[base + c[a].0..]);
-    let rm_s: [&[S::Packed]; NA] = std::array::from_fn(|a| &rho_p[base - c[a].0..]);
-    let sp_s: [&[S::Packed]; NA] = std::array::from_fn(|a| &sig_p[base + c[a].0..]);
-    let sm_s: [&[S::Packed]; NA] = std::array::from_fn(|a| &sig_p[base - c[a].0..]);
-    for (i, o) in out.iter_mut().enumerate() {
-        let rc = S::unpack(rc_s[i]);
-        let mut num = S::unpack(bc_s[i]);
-        let mut den = R::ONE / rc;
-        for a in 0..NA {
-            let inv_dx2 = c[a].1;
-            let rp = (rc + S::unpack(rp_s[a][i])) * R::HALF;
-            let rm = (rc + S::unpack(rm_s[a][i])) * R::HALF;
-            num += alpha * inv_dx2 * (S::unpack(sp_s[a][i]) / rp + S::unpack(sm_s[a][i]) / rm);
-            den += alpha * inv_dx2 * (R::ONE / rp + R::ONE / rm);
+    // Conversion buffers (unused where the storage is the compute type).
+    let [mut rc_b, mut rp_b, mut rm_b, mut sp_b, mut sm_b] = [[R::ZERO; CONVERT_BLOCK]; 5];
+    let (mut num, mut den) = ([R::ZERO; CONVERT_BLOCK], [R::ZERO; CONVERT_BLOCK]);
+    for (bi, o) in out.chunks_mut(CONVERT_BLOCK).enumerate() {
+        let (at, n) = (base + bi * CONVERT_BLOCK, o.len());
+        let (num, den) = (&mut num[..n], &mut den[..n]);
+        let rc = S::unpack_view(&rho_p[at..at + n], &mut rc_b);
+        let bc = S::unpack_view(&b_p[at..at + n], &mut rp_b);
+        for i in 0..n {
+            num[i] = bc[i];
+            den[i] = R::ONE / rc[i];
         }
-        *o = S::pack(num / den);
+        for &(stride, inv_dx2) in c {
+            let (hi, lo) = (at + stride, at - stride);
+            let rp = S::unpack_view(&rho_p[hi..hi + n], &mut rp_b);
+            let rm = S::unpack_view(&rho_p[lo..lo + n], &mut rm_b);
+            let sp = S::unpack_view(&sig_p[hi..hi + n], &mut sp_b);
+            let sm = S::unpack_view(&sig_p[lo..lo + n], &mut sm_b);
+            for i in 0..n {
+                let rp = (rc[i] + rp[i]) * R::HALF;
+                let rm = (rc[i] + rm[i]) * R::HALF;
+                num[i] += alpha * inv_dx2 * (sp[i] / rp + sm[i] / rm);
+                den[i] += alpha * inv_dx2 * (R::ONE / rp + R::ONE / rm);
+            }
+        }
+        for (x, &d) in num.iter_mut().zip(&*den) {
+            *x /= d;
+        }
+        S::pack_slice(num, o);
     }
 }
 

@@ -1,6 +1,7 @@
 //! The five conserved fields `(ρ, ρu, ρv, ρw, E)` as structure-of-arrays.
 
 use crate::eos::{cons_to_prim, Cons, Prim, NV};
+use crate::CONVERT_BLOCK;
 use igr_grid::{Axis, Domain, Field, GridShape};
 use igr_prec::{Real, Storage};
 use rayon::prelude::*;
@@ -137,35 +138,39 @@ impl<R: Real, S: Storage<R>> State<R, S> {
 
     /// `self = src + dt * rhs` elementwise (RK stage 1), parallel.
     pub fn euler_from(&mut self, src: &State<R, S>, dt: R, rhs: &State<R, S>) {
-        let [d0, d1, d2, d3, d4] = self.split_mut_packed();
-        let dsts = [d0, d1, d2, d3, d4];
-        let srcs = src.fields();
-        let rs = rhs.fields();
-        for ((dst, s), r) in dsts.into_iter().zip(srcs).zip(rs) {
-            dst.par_iter_mut()
-                .zip(s.packed().par_iter())
-                .zip(r.packed().par_iter())
-                .for_each(|((d, &sv), &rv)| {
-                    *d = S::pack(S::unpack(sv) + dt * S::unpack(rv));
-                });
-        }
+        self.combine_with(src, rhs, |_, s, r| s + dt * r);
     }
 
     /// `self = a*base + b*(self + dt*rhs)` elementwise (SSP-RK combine),
     /// parallel. This is the paper's two-buffer arrangement (§5.5.3): the
     /// "previous state" buffer updates the current RK stage in place.
     pub fn rk_combine(&mut self, a: R, base: &State<R, S>, b: R, dt: R, rhs: &State<R, S>) {
-        let [d0, d1, d2, d3, d4] = self.split_mut_packed();
-        let dsts = [d0, d1, d2, d3, d4];
-        let bases = base.fields();
-        let rs = rhs.fields();
-        for ((dst, s), r) in dsts.into_iter().zip(bases).zip(rs) {
-            dst.par_iter_mut()
-                .zip(s.packed().par_iter())
-                .zip(r.packed().par_iter())
-                .for_each(|((d, &sv), &rv)| {
-                    let cur = S::unpack(*d);
-                    *d = S::pack(a * S::unpack(sv) + b * (cur + dt * S::unpack(rv)));
+        self.combine_with(base, rhs, |cur, s, r| a * s + b * (cur + dt * r));
+    }
+
+    /// `self[i] = f(self[i], src[i], rhs[i])` over every stored cell,
+    /// parallel over fixed-size chunks converted through stack buffers.
+    fn combine_with(
+        &mut self,
+        src: &State<R, S>,
+        rhs: &State<R, S>,
+        f: impl Fn(R, R, R) -> R + Sync,
+    ) {
+        let dsts = self.split_mut_packed();
+        for ((dst, s), r) in dsts.into_iter().zip(src.fields()).zip(rhs.fields()) {
+            let (s, r) = (s.packed(), r.packed());
+            dst.par_chunks_mut(CONVERT_BLOCK)
+                .enumerate()
+                .for_each(|(ci, d)| {
+                    let span = ci * CONVERT_BLOCK..ci * CONVERT_BLOCK + d.len();
+                    let [mut cb, mut sb, mut rb] = [[R::ZERO; CONVERT_BLOCK]; 3];
+                    let sv = S::unpack_view(&s[span.clone()], &mut sb);
+                    let rv = S::unpack_view(&r[span], &mut rb);
+                    S::update_slice(d, &mut cb, |cur| {
+                        for ((c, &x), &y) in cur.iter_mut().zip(sv).zip(rv) {
+                            *c = f(*c, x, y);
+                        }
+                    });
                 });
         }
     }

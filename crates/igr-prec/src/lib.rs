@@ -6,14 +6,20 @@
 //! sanctioned dependency set has no half-precision crate, so this crate
 //! implements binary16 from scratch:
 //!
-//! * [`f16`](struct@f16) — a bit-exact software binary16 with round-to-nearest-even
-//!   conversions from/to `f32`, subnormal handling, and total-order helpers.
+//! * [`f16`](struct@f16) — binary16 with round-to-nearest-even conversions
+//!   from/to `f32`, subnormal handling, and total-order helpers. The scalar
+//!   conversions are branch-free integer/FP formulations; on x86_64 hosts
+//!   whose CPU reports F16C, the slice conversions behind
+//!   [`Storage::unpack_slice`]/[`Storage::pack_slice`] run `vcvtph2ps`/
+//!   `vcvtps2ph` eight lanes at a time (selected at run time). Every path
+//!   gives the same bits on every input, NaNs included.
 //! * [`Real`] — the compute-precision abstraction (implemented for `f32` and
 //!   `f64`) that lets every kernel in `igr-core`/`igr-baseline` be generic
 //!   over compute precision.
 //! * [`Storage`] + [`PrecisionMode`] — the storage-precision abstraction: a
 //!   field array stores `f16`/`f32`/`f64` and exposes loads/stores in the
-//!   compute type, mirroring the paper's FP16-storage/FP32-compute split.
+//!   compute type, per scalar or per row slice, mirroring the paper's
+//!   FP16-storage/FP32-compute split.
 
 mod half;
 mod real;

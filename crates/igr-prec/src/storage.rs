@@ -6,7 +6,7 @@
 //! and loads/stores them in the compute type `R`. [`MixedVec`] is the
 //! resulting field container used by the solvers.
 
-use crate::half::f16;
+use crate::half::{self, f16};
 use crate::real::Real;
 
 /// Runtime tag for the three precision configurations evaluated in the paper
@@ -56,6 +56,44 @@ pub trait Storage<R: Real>: Copy + Send + Sync + 'static {
 
     fn pack(x: R) -> Self::Packed;
     fn unpack(p: Self::Packed) -> R;
+
+    /// [`Storage::unpack`] every element of `src` into `dst`, which must have
+    /// the same length. Bit-identical to the elementwise loop; formats with
+    /// a faster row conversion override it.
+    fn unpack_slice(src: &[Self::Packed], dst: &mut [R]) {
+        assert_eq!(src.len(), dst.len(), "slice conversion needs equal lengths");
+        for (d, &s) in dst.iter_mut().zip(src) {
+            *d = Self::unpack(s);
+        }
+    }
+
+    /// [`Storage::pack`] every element of `src` into `dst`, which must have
+    /// the same length. Bit-identical to the elementwise loop.
+    fn pack_slice(src: &[R], dst: &mut [Self::Packed]) {
+        assert_eq!(src.len(), dst.len(), "slice conversion needs equal lengths");
+        for (d, &s) in dst.iter_mut().zip(src) {
+            *d = Self::pack(s);
+        }
+    }
+
+    /// `src` in compute precision: unpacked into the front of `buf` (which
+    /// must be at least as long), or `src` itself where the packed format
+    /// is the compute type, so row kernels pay for no copy there.
+    fn unpack_view<'a>(src: &'a [Self::Packed], buf: &'a mut [R]) -> &'a [R] {
+        let dst = &mut buf[..src.len()];
+        Self::unpack_slice(src, dst);
+        dst
+    }
+
+    /// Run `f` on `data` in compute precision and store the result: through
+    /// the front of `buf` (unpack, `f`, pack), or in place where the packed
+    /// format is the compute type.
+    fn update_slice(data: &mut [Self::Packed], buf: &mut [R], f: impl FnOnce(&mut [R])) {
+        let vals = &mut buf[..data.len()];
+        Self::unpack_slice(data, vals);
+        f(vals);
+        Self::pack_slice(vals, data);
+    }
 }
 
 /// FP64 storage for FP64 compute.
@@ -74,6 +112,14 @@ impl Storage<f64> for StoreF64 {
     #[inline(always)]
     fn unpack(p: f64) -> f64 {
         p
+    }
+    #[inline(always)]
+    fn unpack_view<'a>(src: &'a [f64], _: &'a mut [f64]) -> &'a [f64] {
+        src
+    }
+    #[inline(always)]
+    fn update_slice(data: &mut [f64], _: &mut [f64], f: impl FnOnce(&mut [f64])) {
+        f(data)
     }
 }
 
@@ -94,6 +140,14 @@ impl Storage<f32> for StoreF32 {
     fn unpack(p: f32) -> f32 {
         p
     }
+    #[inline(always)]
+    fn unpack_view<'a>(src: &'a [f32], _: &'a mut [f32]) -> &'a [f32] {
+        src
+    }
+    #[inline(always)]
+    fn update_slice(data: &mut [f32], _: &mut [f32], f: impl FnOnce(&mut [f32])) {
+        f(data)
+    }
 }
 
 /// FP16 storage for FP32 compute — the paper's mixed-precision mode.
@@ -112,6 +166,19 @@ impl Storage<f32> for StoreF16 {
     #[inline(always)]
     fn unpack(p: f16) -> f32 {
         p.to_f32()
+    }
+
+    /// F16C `vcvtph2ps` where the host has it; NaNs widen as
+    /// [`Storage::unpack`] does.
+    #[inline]
+    fn unpack_slice(src: &[f16], dst: &mut [f32]) {
+        half::widen_slice(src, dst);
+    }
+
+    /// F16C `vcvtps2ph` (round to nearest even) where the host has it.
+    #[inline]
+    fn pack_slice(src: &[f32], dst: &mut [f16]) {
+        half::narrow_slice(src, dst);
     }
 }
 
@@ -169,15 +236,14 @@ impl<R: Real, S: Storage<R>> MixedVec<R, S> {
 
     /// Unpack the whole array into a compute-precision `Vec`.
     pub fn to_compute_vec(&self) -> Vec<R> {
-        self.data.iter().map(|&p| S::unpack(p)).collect()
+        let mut out = vec![R::ZERO; self.data.len()];
+        S::unpack_slice(&self.data, &mut out);
+        out
     }
 
     /// Overwrite from a compute-precision slice (packs every element).
     pub fn copy_from_compute(&mut self, src: &[R]) {
-        assert_eq!(src.len(), self.data.len());
-        for (d, &s) in self.data.iter_mut().zip(src) {
-            *d = S::pack(s);
-        }
+        S::pack_slice(src, &mut self.data);
     }
 
     pub fn fill(&mut self, x: R) {
@@ -224,6 +290,39 @@ mod tests {
         v.copy_from_compute(&src);
         // Quarter-integers up to 4 are exactly representable in binary16.
         assert_eq!(v.to_compute_vec(), src);
+    }
+
+    /// The slice forms of all three formats agree with `pack`/`unpack`.
+    #[test]
+    fn slice_forms_match_elementwise_pack_and_unpack() {
+        fn check<R: Real, S: Storage<R>>(xs: &[R])
+        where
+            S::Packed: PartialEq + std::fmt::Debug,
+        {
+            let mut packed = vec![S::Packed::default(); xs.len()];
+            S::pack_slice(xs, &mut packed);
+            let elementwise: Vec<S::Packed> = xs.iter().map(|&x| S::pack(x)).collect();
+            assert_eq!(packed, elementwise, "{}", S::MODE);
+            let mut back = vec![R::ZERO; xs.len()];
+            S::unpack_slice(&packed, &mut back);
+            let mut buf = vec![R::ZERO; xs.len() + 3];
+            let view = S::unpack_view(&packed, &mut buf).to_vec();
+            for ((b, v), &p) in back.iter().zip(&view).zip(&packed) {
+                assert_eq!(b.to_f64().to_bits(), S::unpack(p).to_f64().to_bits());
+                assert_eq!(v.to_f64().to_bits(), S::unpack(p).to_f64().to_bits());
+            }
+            // update_slice stores f's result, rounded as `pack` rounds it.
+            S::update_slice(&mut packed, &mut buf, |vals| {
+                vals.iter_mut().for_each(|x| *x += R::HALF);
+            });
+            let bumped: Vec<S::Packed> = view.iter().map(|&v| S::pack(v + R::HALF)).collect();
+            assert_eq!(packed, bumped, "{}", S::MODE);
+        }
+        let xs: Vec<f64> = (0..19).map(|i| (i as f64 - 9.0) * 0.3377e-3).collect();
+        let xs32: Vec<f32> = xs.iter().map(|&x| x as f32).collect();
+        check::<f64, StoreF64>(&xs);
+        check::<f32, StoreF32>(&xs32);
+        check::<f32, StoreF16>(&xs32);
     }
 
     #[test]

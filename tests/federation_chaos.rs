@@ -44,12 +44,13 @@ fn quick(n: usize) -> ScenarioSpec {
     s
 }
 
-/// A 2-D jet case heavy enough (relative to the chaos timers) that it is
-/// still running when its node is killed.
+/// A 2-D jet case heavy enough that it is still running when its node is
+/// killed: about 0.1 s in release (8 192 cells, 33 steps), hundreds of
+/// times the loopback `STATS` poll that precedes the kill.
 fn heavy() -> ScenarioSpec {
-    let mut s = ScenarioSpec::new(BaseCase::EngineRow2d { engines: 3 }, 32);
+    let mut s = ScenarioSpec::new(BaseCase::EngineRow2d { engines: 3 }, 64);
     s.warmup = 1;
-    s.steps = 12;
+    s.steps = 32;
     s
 }
 
@@ -158,19 +159,34 @@ fn torn_stream_mid_execution_resumes_on_a_peer() {
     let a = node();
     let b = node();
     let addrs = vec![a.local_addr().to_string(), b.local_addr().to_string()];
-    let mut fed = FederatedClient::connect(&addrs, cfg()).unwrap();
+    // A node notices its shutdown only between stream slices, and a slice
+    // that outlives heavy() delivers its result; short slices make A's
+    // death visible long before heavy() could finish.
+    let short_slices = FederationConfig {
+        stream_slice: Duration::from_millis(10),
+        ..cfg()
+    };
+    let mut fed = FederatedClient::connect(&addrs, short_slices).unwrap();
 
     // Round-robin: the heavy jet case lands on node A, the quick one on B.
     let specs = [heavy(), quick(48)];
     fed.submit_all(&specs).unwrap();
 
     // Killer thread: shut node A down over the wire while the main thread
-    // is inside collect()'s first stream slice and A's worker is still
-    // integrating the heavy case.
+    // collects and A's worker is still integrating the heavy case — the
+    // kill waits for A's `STATS` to show that job outstanding and unexecuted
+    // rather than for a fixed delay.
     let kill_addr = a.local_addr();
     let killer = std::thread::spawn(move || {
-        std::thread::sleep(Duration::from_millis(20));
         let mut assassin = CampaignClient::connect(kill_addr).expect("connect to victim");
+        loop {
+            let s = assassin.stats().expect("stats from victim");
+            assert_eq!(s.executed, 0, "heavy() finished before the kill");
+            if s.outstanding == 1 {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
         assassin.shutdown_server().expect("shutdown verb");
     });
 
