@@ -448,6 +448,7 @@ pub fn jet_case_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use igr_core::Fields;
     use igr_prec::StoreF64;
 
     #[test]

@@ -12,6 +12,7 @@
 
 use crate::actions::ActionLog;
 use crate::recovery::RecoveryLog;
+use igr_core::Fields;
 use igr_core::State;
 use igr_grid::{Field, GridShape};
 use igr_prec::{f16, Real, Storage};

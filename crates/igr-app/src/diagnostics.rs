@@ -6,6 +6,7 @@
 //! time-series behind instability-onset plots like our Fig. 5 study.
 
 use igr_core::eos::Prim;
+use igr_core::Fields;
 use igr_core::State;
 use igr_grid::Domain;
 use igr_prec::{Real, Storage};

@@ -57,6 +57,7 @@ use crate::checkpoint::{Checkpoint, CheckpointError, CheckpointScalar, RankMeta}
 use crate::diagnostics::{sample_state, History, Sample};
 use crate::recovery::{InjectNan, RecoveryLog, RecoveryPolicy, Windows};
 use igr_core::solver::{BcGhostOps, GhostOps, RhsScheme, Solver, SolverError, StepInfo};
+use igr_core::Fields;
 use igr_core::IgrScheme;
 use igr_grid::Domain;
 use igr_prec::{Real, Storage};

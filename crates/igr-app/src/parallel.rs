@@ -20,6 +20,7 @@ use igr_core::bc::{
 };
 use igr_core::eos::Prim;
 use igr_core::solver::{GhostOps, Solver};
+use igr_core::Fields;
 use igr_core::{IgrConfig, IgrScheme, State, GHOST_WIDTH};
 use igr_grid::{Axis, Decomp, Domain, Field};
 use igr_prec::{Real, Storage};

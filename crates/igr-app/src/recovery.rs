@@ -46,6 +46,7 @@
 use crate::checkpoint::{decode_log, decode_log_exact, encode_log, Checkpoint};
 use crate::driver::{Driver, DriverError, March, Probe};
 use igr_core::solver::{GhostOps, RhsScheme, Solver};
+use igr_core::Fields;
 use igr_prec::{Real, Storage};
 use igr_species::SpeciesSolver;
 use std::collections::VecDeque;

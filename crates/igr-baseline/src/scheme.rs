@@ -26,6 +26,7 @@ use igr_core::memory::MemoryReport;
 use igr_core::rhs::par_over_chunks;
 use igr_core::solver::{GhostOps, RhsScheme, SchemeParams};
 use igr_core::state::State;
+use igr_core::Fields;
 use igr_grid::{Axis, Domain, Field, GridShape};
 use igr_prec::{Real, Storage};
 use rayon::prelude::*;

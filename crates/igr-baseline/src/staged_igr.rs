@@ -17,14 +17,15 @@ use crate::scheme::{
     in_interface_range, interface_cell_range, layer_stride, par_interface_map, stored_coords,
     DirBuffers,
 };
-use igr_core::config::{EllipticKind, IgrConfig};
+use igr_core::config::IgrConfig;
 use igr_core::eos::{inviscid_flux, max_wave_speed, NV};
 use igr_core::memory::MemoryReport;
 use igr_core::recon::recon5;
 use igr_core::rhs::par_over_chunks;
-use igr_core::sigma::{compute_igr_source, gauss_seidel_sweep, jacobi_sweep};
+use igr_core::sigma::{compute_igr_source, jacobi_sweep, EllipticWorkspace};
 use igr_core::solver::{GhostOps, RhsScheme, SchemeParams};
 use igr_core::state::State;
+use igr_core::Fields;
 use igr_grid::{Domain, Field};
 use igr_prec::{Real, Storage};
 
@@ -37,10 +38,7 @@ pub struct StagedIgrScheme<R: Real, S: Storage<R>> {
     dirs: Vec<DirBuffers<R, S>>,
     /// Reconstructed Σ at interfaces, per direction (2 arrays each).
     sigma_recon: Vec<(Field<R, S>, Field<R, S>)>,
-    sigma: Field<R, S>,
-    sigma_tmp: Option<Field<R, S>>,
-    igr_rhs: Field<R, S>,
-    warm: bool,
+    elliptic: EllipticWorkspace<R, S>,
 }
 
 impl<R: Real, S: Storage<R>> StagedIgrScheme<R, S> {
@@ -61,56 +59,29 @@ impl<R: Real, S: Storage<R>> StagedIgrScheme<R, S> {
             .iter()
             .map(|_| (Field::zeros(shape), Field::zeros(shape)))
             .collect();
-        let sigma_tmp = match cfg.elliptic {
-            EllipticKind::Jacobi => Some(Field::zeros(shape)),
-            EllipticKind::GaussSeidel => None,
-        };
         StagedIgrScheme {
+            elliptic: EllipticWorkspace::new(shape, cfg.elliptic),
             cfg,
             domain,
             alpha,
             dirs,
             sigma_recon,
-            sigma: Field::zeros(shape),
-            sigma_tmp,
-            igr_rhs: Field::zeros(shape),
-            warm: false,
         }
     }
 
     fn solve_sigma(&mut self, q: &State<R, S>, ghost: &mut dyn GhostOps<R, S>) {
-        compute_igr_source(q, &self.domain, self.alpha, &mut self.igr_rhs);
-        let sweeps = if self.warm {
-            self.cfg.sweeps
-        } else {
-            self.cfg.sweeps.max(self.cfg.cold_start_sweeps)
-        };
-        self.warm = true;
-        for _ in 0..sweeps {
-            ghost.fill_scalar(&mut self.sigma);
-            match self.cfg.elliptic {
-                EllipticKind::Jacobi => {
-                    let tmp = self.sigma_tmp.as_mut().expect("Jacobi needs sigma_tmp");
-                    jacobi_sweep(
-                        &q.rho,
-                        &self.igr_rhs,
-                        &self.sigma,
-                        tmp,
-                        &self.domain,
-                        self.alpha,
-                    );
-                    std::mem::swap(&mut self.sigma, tmp);
-                }
-                EllipticKind::GaussSeidel => gauss_seidel_sweep(
-                    &q.rho,
-                    &self.igr_rhs,
-                    &mut self.sigma,
-                    &self.domain,
-                    self.alpha,
-                ),
-            }
-        }
-        ghost.fill_scalar(&mut self.sigma);
+        let ws = &mut self.elliptic;
+        compute_igr_source(q, &self.domain, self.alpha, ws.source_mut());
+        let (sweeps, cold) = (self.cfg.sweeps, self.cfg.cold_start_sweeps);
+        ws.relax(
+            &q.rho,
+            &self.domain,
+            self.alpha,
+            sweeps,
+            cold,
+            jacobi_sweep,
+            |s| ghost.fill_scalar(s),
+        );
     }
 
     /// Stage 2: linear recon of the five *conservative* variables and Σ
@@ -139,7 +110,7 @@ impl<R: Real, S: Storage<R>> StagedIgrScheme<R, S> {
                 },
             );
         }
-        let sigma = &self.sigma;
+        let sigma = self.elliptic.sigma();
         let (sl, sr) = &mut self.sigma_recon[di];
         par_interface_map::<R, S>(
             shape,
@@ -280,11 +251,7 @@ impl<R: Real, S: Storage<R>> RhsScheme<R, S> for StagedIgrScheme<R, S> {
             report.push(format!("sigmaL_{name}"), n, sl.storage_bytes());
             report.push(format!("sigmaR_{name}"), n, sr.storage_bytes());
         }
-        report.push("sigma", n, self.sigma.storage_bytes());
-        report.push("igr_rhs", n, self.igr_rhs.storage_bytes());
-        if let Some(tmp) = &self.sigma_tmp {
-            report.push("sigma_tmp (Jacobi)", n, tmp.storage_bytes());
-        }
+        self.elliptic.memory_report(report);
     }
 }
 

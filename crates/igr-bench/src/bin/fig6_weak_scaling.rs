@@ -10,6 +10,7 @@
 
 use igr_app::{cases, run_decomposed};
 use igr_bench::{fmt_g, section, TextTable};
+use igr_core::Fields;
 use igr_perf::{GrindModel, Precision, ScalingModel, Scheme, System};
 use igr_prec::StoreF64;
 

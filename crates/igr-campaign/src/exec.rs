@@ -23,6 +23,7 @@ use igr_app::driver::{
 };
 use igr_app::parallel::{rank_ckpt_path, run_decomposed, DecompCheckpointing};
 use igr_core::solver::{BcGhostOps, RhsScheme, Solver, SolverError};
+use igr_core::Fields;
 use igr_prec::{PrecisionMode, Real, Storage, StoreF16, StoreF32, StoreF64};
 use std::collections::HashMap;
 use std::path::PathBuf;

@@ -10,7 +10,7 @@
 //! viscous stress and the IGR source term.
 
 use crate::eos::Prim;
-use crate::state::State;
+use crate::state::{Fields, State};
 use igr_grid::{Axis, Domain, Field, GridShape};
 use igr_prec::{Real, Storage};
 use std::sync::Arc;

@@ -144,23 +144,39 @@ impl IgrConfig {
     }
 
     pub fn validate(&self) -> Result<(), String> {
-        if self.gamma <= 1.0 {
+        if !(self.gamma > 1.0) {
             return Err(format!("gamma must exceed 1, got {}", self.gamma));
         }
-        if self.cfl <= 0.0 || self.cfl > 1.0 {
-            return Err(format!("cfl must be in (0, 1], got {}", self.cfl));
-        }
-        if self.alpha_factor < 0.0 {
-            return Err("alpha_factor must be non-negative".into());
-        }
-        if self.mu < 0.0 || self.zeta < 0.0 {
-            return Err("viscosities must be non-negative".into());
-        }
-        if self.sweeps == 0 && self.alpha_factor > 0.0 {
-            return Err("IGR requires at least one elliptic sweep".into());
-        }
-        Ok(())
+        validate_march(self.cfl, self.alpha_factor, self.mu, self.zeta, self.sweeps)
     }
+}
+
+/// The march-parameter checks every IGR configuration shares. Each test is
+/// the negation of the valid range, so a NaN fails it.
+pub fn validate_march(
+    cfl: f64,
+    alpha_factor: f64,
+    mu: f64,
+    zeta: f64,
+    sweeps: usize,
+) -> Result<(), String> {
+    if !(cfl > 0.0 && cfl <= 1.0) {
+        return Err(format!("cfl must be in (0, 1], got {cfl}"));
+    }
+    if !(alpha_factor >= 0.0) {
+        return Err(format!(
+            "alpha_factor must be non-negative, got {alpha_factor}"
+        ));
+    }
+    if !(mu >= 0.0 && zeta >= 0.0) {
+        return Err(format!(
+            "viscosities must be non-negative, got ({mu}, {zeta})"
+        ));
+    }
+    if sweeps == 0 && alpha_factor > 0.0 {
+        return Err("IGR requires at least one elliptic sweep".into());
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -219,5 +235,21 @@ mod tests {
             c.validate().is_ok(),
             "alpha=0 disables IGR; 0 sweeps then fine"
         );
+    }
+
+    #[test]
+    fn nan_parameters_are_rejected() {
+        let set: [fn(&mut IgrConfig); 5] = [
+            |c| c.gamma = f64::NAN,
+            |c| c.cfl = f64::NAN,
+            |c| c.alpha_factor = f64::NAN,
+            |c| c.mu = f64::NAN,
+            |c| c.zeta = f64::NAN,
+        ];
+        for (i, f) in set.into_iter().enumerate() {
+            let mut c = IgrConfig::default();
+            f(&mut c);
+            assert!(c.validate().is_err(), "NaN in field {i} must be rejected");
+        }
     }
 }

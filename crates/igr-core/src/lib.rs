@@ -18,7 +18,9 @@
 //! Crate layout:
 //! * [`eos`] — ideal-gas thermodynamics and flux vectors;
 //! * [`recon`] — 1st/3rd/5th-order linear interface reconstruction;
-//! * [`state`] — the five conserved fields and RHS containers;
+//! * [`state`] — the [`Fields`] trait every equation set's state implements
+//!   (tuple access, RK updates, integrals, health scans), and the five
+//!   conserved fields;
 //! * [`bc`] — periodic/outflow/reflective/inflow ghost fill (jet inflow
 //!   profiles included);
 //! * [`sigma`] — the IGR elliptic source + Jacobi/Gauss–Seidel solve;
@@ -44,7 +46,7 @@ pub mod stepper;
 
 pub use config::{EllipticKind, IgrConfig, ReconOrder, RkOrder};
 pub use solver::{IgrScheme, RhsScheme, Solver, SolverError, StepInfo};
-pub use state::State;
+pub use state::{Fields, State};
 
 /// Ghost width required by the widest stencil (5th-order reconstruction
 /// reaches cells -2..+3 around an interface).

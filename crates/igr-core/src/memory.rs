@@ -8,6 +8,9 @@
 //! persistent arrays here, and the Table 3 / Fig. 8 harnesses derive maximum
 //! problem sizes from it.
 
+use crate::state::Fields;
+use igr_prec::{Real, Storage};
+
 /// One persistent array.
 #[derive(Clone, Debug, PartialEq)]
 pub struct MemEntry {
@@ -40,6 +43,23 @@ impl MemoryReport {
             scalars,
             bytes,
         });
+    }
+
+    /// One row per field of a solver's three state buffers, named
+    /// `q[v]`, `q_rk[v]` and `rhs[v]`.
+    pub fn push_state_buffers<R: Real, S: Storage<R>, const NF: usize>(
+        &mut self,
+        [q, q_rk, rhs]: [&impl Fields<R, S, NF>; 3],
+    ) {
+        for (name, st) in [("q", q), ("q_rk", q_rk), ("rhs", rhs)] {
+            for (v, f) in st.fields().into_iter().enumerate() {
+                self.push(
+                    format!("{name}[{v}]"),
+                    f.shape().n_total(),
+                    f.storage_bytes(),
+                );
+            }
+        }
     }
 
     pub fn total_bytes(&self) -> usize {

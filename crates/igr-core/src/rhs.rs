@@ -30,11 +30,13 @@
 use crate::config::{KernelPath, ReconOrder};
 use crate::eos::{cons_to_prim, inviscid_flux, max_wave_speed, Cons, Prim, NV};
 use crate::recon::{recon1, recon3, recon5, recon_rows};
-use crate::state::State;
+use crate::state::{Fields, State};
 use crate::CONVERT_BLOCK;
 use igr_grid::{Axis, Domain, Field, GridShape};
 use igr_prec::{Real, Storage};
 use rayon::prelude::*;
+use rayon::ParallelIterator;
+use std::ops::Range;
 
 /// Everything the flux kernel needs, borrowed immutably and shared across
 /// tasks.
@@ -287,57 +289,54 @@ impl<'a, R: Real, S: Storage<R>> FluxParams<'a, R, S> {
 /// `rhs` must be zeroed (or hold contributions to be added to); ghosts of `q`
 /// and `sigma` must be filled.
 pub fn accumulate_fluxes<R: Real, S: Storage<R>>(p: &FluxParams<'_, R, S>, rhs: &mut State<R, S>) {
-    let shape = p.shape;
-    let threads = rayon::current_num_threads();
+    par_over_slabs(rhs, |chunks, off, j_range, k_range| {
+        let mut scratch = Scratch::new(p.shape, p.kernel);
+        process_block(p, chunks, off, j_range, k_range, &mut scratch);
+    });
+}
 
-    if shape.is_active(Axis::Z) {
-        // Chunk over z-layers (full xy-planes).
-        let sxy = shape.stride(Axis::Z);
-        let n_layers = shape.total(Axis::Z);
-        let counts = layer_chunks(n_layers, threads);
-        let bounds = prefix_sums(&counts);
-        let sizes: Vec<usize> = counts.iter().map(|&c| c * sxy).collect();
-        let gz = shape.ghosts(Axis::Z) as i32;
-        par_over_uneven_chunks(rhs, &sizes, |ci, chunks| {
-            let l0 = bounds[ci] as i32;
-            let l1 = bounds[ci + 1] as i32;
-            let k0 = (l0 - gz).max(0);
-            let k1 = (l1 - gz).min(shape.nz as i32);
-            if k0 >= k1 {
-                return;
-            }
-            let off = l0 as usize * sxy;
-            let _sp = igr_obs::span!("flux.slab");
-            let mut scratch = Scratch::new(shape, p.kernel);
-            process_block(p, chunks, off, 0..shape.ny as i32, k0..k1, &mut scratch);
-        });
+/// Run `block(chunks, off, j_range, k_range)` once per balanced slab of the
+/// outermost active axis, in parallel: `chunks` are the slab's pieces of the
+/// packed arrays of `rhs` (the first element at linear index `off`), and
+/// `j_range × k_range` are the interior cell rows the slab owns. z-layers on
+/// 3-D grids ([`layer_chunks`]), y-rows on 2-D grids, one serial block in 1-D.
+pub fn par_over_slabs<R, S, const NF: usize, Q>(
+    rhs: &mut Q,
+    block: impl Fn([&mut [S::Packed]; NF], usize, Range<i32>, Range<i32>) + Sync,
+) where
+    R: Real,
+    S: Storage<R>,
+    Q: Fields<R, S, NF>,
+{
+    let shape = rhs.shape();
+    let axis = if shape.is_active(Axis::Z) {
+        Axis::Z
     } else if shape.is_active(Axis::Y) {
-        // 2-D grid (nz == 1): chunk over y-rows.
-        let sx = shape.stride(Axis::Y);
-        let n_layers = shape.total(Axis::Y);
-        let counts = layer_chunks(n_layers, threads);
-        let bounds = prefix_sums(&counts);
-        let sizes: Vec<usize> = counts.iter().map(|&c| c * sx).collect();
-        let gy = shape.ghosts(Axis::Y) as i32;
-        par_over_uneven_chunks(rhs, &sizes, |ci, chunks| {
-            let l0 = bounds[ci] as i32;
-            let l1 = bounds[ci + 1] as i32;
-            let j0 = (l0 - gy).max(0);
-            let j1 = (l1 - gy).min(shape.ny as i32);
-            if j0 >= j1 {
-                return;
-            }
-            let off = l0 as usize * sx;
-            let _sp = igr_obs::span!("flux.slab");
-            let mut scratch = Scratch::new(shape, p.kernel);
-            process_block(p, chunks, off, j0..j1, 0..1, &mut scratch);
-        });
+        Axis::Y
     } else {
         // 1-D problem: single serial block.
-        let chunks = rhs.split_mut_packed();
-        let mut scratch = Scratch::new(shape, p.kernel);
-        process_block(p, chunks, 0, 0..1, 0..1, &mut scratch);
-    }
+        block(rhs.split_mut_packed(), 0, 0..1, 0..1);
+        return;
+    };
+    let stride = shape.stride(axis);
+    let counts = layer_chunks(shape.total(axis), rayon::current_num_threads());
+    let bounds = prefix_sums(&counts);
+    let sizes: Vec<usize> = counts.iter().map(|&c| c * stride).collect();
+    let g = shape.ghosts(axis) as i32;
+    let n = shape.extent(axis) as i32;
+    par_over_uneven_chunks(rhs, &sizes, |ci, chunks| {
+        let l0 = bounds[ci] as i32;
+        let (c0, c1) = ((l0 - g).max(0), (bounds[ci + 1] as i32 - g).min(n));
+        if c0 >= c1 {
+            return;
+        }
+        let _sp = igr_obs::span!("flux.slab");
+        let off = l0 as usize * stride;
+        match axis {
+            Axis::Z => block(chunks, off, 0..shape.ny as i32, c0..c1),
+            _ => block(chunks, off, c0..c1, 0..1),
+        }
+    });
 }
 
 /// Near-equal layer counts for parallel slab decomposition: `n_layers` split
@@ -363,50 +362,145 @@ pub fn prefix_sums(counts: &[usize]) -> Vec<usize> {
     bounds
 }
 
-/// Split the five arrays of a [`State`] into aligned chunks and run `f` on
-/// each set in parallel. Shared by the fused IGR kernel and the staged
-/// baseline pipeline in `igr-baseline`.
-pub fn par_over_chunks<R: Real, S: Storage<R>>(
-    rhs: &mut State<R, S>,
+/// `NF` equal-length parallel iterators walked in lockstep — a `zip` over an
+/// array, yielding one item of each per step. The granularity hint is the
+/// largest part's, so per-field chunk iterators count the cells of one
+/// field, exactly as a chain of `zip`s does.
+struct ZipN<I, const NF: usize>(Vec<I>);
+
+impl<I: ParallelIterator, const NF: usize> ParallelIterator for ZipN<I, NF> {
+    type Item = [I::Item; NF];
+
+    fn par_len(&self) -> usize {
+        self.0.iter().map(I::par_len).min().unwrap_or(0)
+    }
+
+    fn elements_hint(&self) -> usize {
+        self.0.iter().map(I::elements_hint).max().unwrap_or(0)
+    }
+
+    fn split_at(self, mid: usize) -> (Self, Self) {
+        let (a, b) = self.0.into_iter().map(|it| it.split_at(mid)).unzip();
+        (ZipN(a), ZipN(b))
+    }
+
+    fn next_item(&mut self) -> Option<Self::Item> {
+        let items: Vec<I::Item> = self.0.iter_mut().map(I::next_item).collect::<Option<_>>()?;
+        items.try_into().ok()
+    }
+}
+
+/// Split the packed arrays of `rhs` into aligned `csize`-cell chunks and run
+/// `f` on each set in parallel. Shared by the IGR kernels of every equation
+/// set and the staged baseline pipeline in `igr-baseline`.
+pub fn par_over_chunks<R, S, const NF: usize, Q>(
+    rhs: &mut Q,
     csize: usize,
-    f: impl Fn(usize, [&mut [S::Packed]; NV]) + Sync,
-) {
-    let [r0, r1, r2, r3, r4] = rhs.split_mut_packed();
-    r0.par_chunks_mut(csize)
-        .zip(r1.par_chunks_mut(csize))
-        .zip(r2.par_chunks_mut(csize))
-        .zip(r3.par_chunks_mut(csize))
-        .zip(r4.par_chunks_mut(csize))
+    f: impl Fn(usize, [&mut [S::Packed]; NF]) + Sync,
+) where
+    R: Real,
+    S: Storage<R>,
+    Q: Fields<R, S, NF>,
+{
+    let chunks = rhs.split_mut_packed().map(|a| a.par_chunks_mut(csize));
+    ZipN::<_, NF>(chunks.into())
         .enumerate()
-        .for_each(|(ci, ((((c0, c1), c2), c3), c4))| f(ci, [c0, c1, c2, c3, c4]));
+        .for_each(|(ci, c)| f(ci, c));
 }
 
 /// [`par_over_chunks`] with caller-specified chunk sizes (the balanced layer
 /// decomposition of [`layer_chunks`]).
-pub fn par_over_uneven_chunks<R: Real, S: Storage<R>>(
-    rhs: &mut State<R, S>,
+pub fn par_over_uneven_chunks<R, S, const NF: usize, Q>(
+    rhs: &mut Q,
     sizes: &[usize],
-    f: impl Fn(usize, [&mut [S::Packed]; NV]) + Sync,
-) {
+    f: impl Fn(usize, [&mut [S::Packed]; NF]) + Sync,
+) where
+    R: Real,
+    S: Storage<R>,
+    Q: Fields<R, S, NF>,
+{
     // The span covers the full fork-join, so (pool.dispatch − Σ flux.slab)
     // is the scheduling + join overhead the scaling work needs to see.
     let _sp = igr_obs::span!("pool.dispatch");
     // Race-check builds: the chunk iterators record every handed-out range
-    // (all five variable arrays share one scope — identical offsets under
-    // the same piece id merge; a bookkeeping slip in `sizes` shows up as a
+    // (all variable arrays share one scope — identical offsets under the
+    // same piece id merge; a bookkeeping slip in `sizes` shows up as a
     // cross-piece overlap when the fork-join completes).
     #[cfg(igr_race_check)]
     rayon::shadow::scope_begin("rhs.uneven_chunks");
-    let [r0, r1, r2, r3, r4] = rhs.split_mut_packed();
-    r0.par_uneven_chunks_mut(sizes.to_vec())
-        .zip(r1.par_uneven_chunks_mut(sizes.to_vec()))
-        .zip(r2.par_uneven_chunks_mut(sizes.to_vec()))
-        .zip(r3.par_uneven_chunks_mut(sizes.to_vec()))
-        .zip(r4.par_uneven_chunks_mut(sizes.to_vec()))
+    let chunks = rhs
+        .split_mut_packed()
+        .map(|a| a.par_uneven_chunks_mut(sizes.to_vec()));
+    ZipN::<_, NF>(chunks.into())
         .enumerate()
-        .for_each(|(ci, ((((c0, c1), c2), c3), c4))| f(ci, [c0, c1, c2, c3, c4]));
+        .for_each(|(ci, c)| f(ci, c));
     #[cfg(igr_race_check)]
     rayon::shadow::scope_end();
+}
+
+/// The x-row skeleton of the reference sweeps: for every x-row of
+/// `j_range × k_range`, call `apply(lin, f_lo, f_hi)` on each interior cell
+/// with the fluxes through its low and high faces, where `flux(lin)` is the
+/// flux through the face between cells `lin` and `lin + 1`. Each face flux
+/// is computed once; the previous one is carried along the row.
+pub fn walk_x_rows<F>(
+    shape: GridShape,
+    j_range: Range<i32>,
+    k_range: Range<i32>,
+    flux: impl Fn(usize) -> F,
+    mut apply: impl FnMut(usize, &F, &F),
+) {
+    for k in k_range {
+        for j in j_range.clone() {
+            let base = shape.idx(0, j, k);
+            let mut f_prev = flux(base - 1); // interface -1/2
+            for lin in base..base + shape.nx {
+                let f_cur = flux(lin);
+                apply(lin, &f_prev, &f_cur);
+                f_prev = f_cur;
+            }
+        }
+    }
+}
+
+/// The y/z skeleton of the reference sweeps: one row of interface fluxes
+/// along `axis` at a time, buffered, differenced against the previous row.
+/// `flux(lin)` is the flux through the face between `lin` and its successor
+/// along `axis`; `apply(lin, f_lo, f_hi)` gets each interior cell's two
+/// faces. Y walks `k` outside `j`, Z walks `j` outside `k`.
+pub fn walk_transverse_rows<F>(
+    shape: GridShape,
+    axis: Axis,
+    j_range: Range<i32>,
+    k_range: Range<i32>,
+    flux: impl Fn(usize) -> F,
+    mut apply: impl FnMut(usize, &F, &F),
+) {
+    let nx = shape.nx;
+    let (outer, inner) = match axis {
+        Axis::Y => (k_range, j_range),
+        Axis::Z => (j_range, k_range),
+        Axis::X => unreachable!("x rows use walk_x_rows"),
+    };
+    let row_start = |t: i32, c: i32| match axis {
+        Axis::Y => shape.idx(0, c, t),
+        _ => shape.idx(0, t, c),
+    };
+    let (mut lo, mut hi) = (Vec::with_capacity(nx), Vec::with_capacity(nx));
+    for t in outer {
+        let row0 = row_start(t, inner.start - 1);
+        lo.clear();
+        lo.extend((row0..row0 + nx).map(&flux));
+        for c in inner.clone() {
+            let row = row_start(t, c);
+            hi.clear();
+            hi.extend((row..row + nx).map(&flux));
+            for (i, (l, h)) in lo.iter().zip(&hi).enumerate() {
+                apply(row + i, l, h);
+            }
+            std::mem::swap(&mut lo, &mut hi);
+        }
+    }
 }
 
 /// One unpacked cell row: the five conservative variables plus Σ in compute
@@ -456,9 +550,6 @@ impl<R: Real> PrimRows<R> {
 
 /// Per-task buffers — the thread-local temporaries of §5.4.
 struct Scratch<R: Real> {
-    /// Flux rows for the reference transverse sweeps (AoS).
-    lo: Vec<Cons<R>>,
-    hi: Vec<Cons<R>>,
     /// X sweep: one ghost-padded row (`nx + 2 ng` cells).
     xw: RowBuf<R>,
     /// Y/Z sweeps: rolling 6-row stencil window (`nx` cells each).
@@ -492,16 +583,6 @@ impl<R: Real> Scratch<R> {
             }
         };
         Scratch {
-            lo: if fused {
-                Vec::new()
-            } else {
-                vec![[R::ZERO; NV]; nx]
-            },
-            hi: if fused {
-                Vec::new()
-            } else {
-                vec![[R::ZERO; NV]; nx]
-            },
             xw: RowBuf::new(if fused { nxe } else { 0 }),
             win: (0..6)
                 .map(|_| RowBuf::new(if fused { nx } else { 0 }))
@@ -557,8 +638,8 @@ fn process_block<R: Real, S: Storage<R>>(
     p: &FluxParams<'_, R, S>,
     mut chunks: [&mut [S::Packed]; NV],
     off: usize,
-    j_range: std::ops::Range<i32>,
-    k_range: std::ops::Range<i32>,
+    j_range: Range<i32>,
+    k_range: Range<i32>,
     scratch: &mut Scratch<R>,
 ) {
     let shape = p.shape;
@@ -597,7 +678,6 @@ fn process_block<R: Real, S: Storage<R>>(
                 Axis::Y,
                 j_range.clone(),
                 k_range.clone(),
-                scratch,
             );
         }
     }
@@ -605,39 +685,45 @@ fn process_block<R: Real, S: Storage<R>>(
         if fused {
             sweep_yz_fused(p, &mut chunks, off, Axis::Z, j_range, k_range, scratch);
         } else {
-            sweep_yz_ref(p, &mut chunks, off, Axis::Z, j_range, k_range, scratch);
+            sweep_yz_ref(p, &mut chunks, off, Axis::Z, j_range, k_range);
         }
     }
 }
 
 // --- reference sweeps ----------------------------------------------------
 
+/// `chunks[v][lin - off] += (f_lo[v] - f_hi[v]) * inv_dx`: one cell's flux
+/// difference on the reference path.
+#[inline(always)]
+fn apply_ref<R: Real, S: Storage<R>>(
+    chunks: &mut [&mut [S::Packed]; NV],
+    loc: usize,
+    f_lo: &Cons<R>,
+    f_hi: &Cons<R>,
+    inv_dx: R,
+) {
+    for v in 0..NV {
+        let acc = S::unpack(chunks[v][loc]) + (f_lo[v] - f_hi[v]) * inv_dx;
+        chunks[v][loc] = S::pack(acc);
+    }
+}
+
 /// X sweep: walk each x-row keeping the previous interface flux in registers.
 fn sweep_x_ref<R: Real, S: Storage<R>>(
     p: &FluxParams<'_, R, S>,
     chunks: &mut [&mut [S::Packed]; NV],
     off: usize,
-    j_range: std::ops::Range<i32>,
-    k_range: std::ops::Range<i32>,
+    j_range: Range<i32>,
+    k_range: Range<i32>,
 ) {
-    let shape = p.shape;
     let inv_dx = p.inv_dx[0];
-    for k in k_range {
-        for j in j_range.clone() {
-            let base = shape.idx(0, j, k);
-            let mut f_prev = p.interface_flux(0, base - 1); // interface -1/2
-            for c in 0..shape.nx {
-                let lin = base + c;
-                let f_cur = p.interface_flux(0, lin);
-                let loc = lin - off;
-                for v in 0..NV {
-                    let acc = S::unpack(chunks[v][loc]) + (f_prev[v] - f_cur[v]) * inv_dx;
-                    chunks[v][loc] = S::pack(acc);
-                }
-                f_prev = f_cur;
-            }
-        }
-    }
+    walk_x_rows(
+        p.shape,
+        j_range,
+        k_range,
+        |lin| p.interface_flux(0, lin),
+        |lin, lo, hi| apply_ref::<R, S>(chunks, lin - off, lo, hi, inv_dx),
+    );
 }
 
 /// Y/Z sweep: compute one row of interface fluxes at a time and difference
@@ -647,67 +733,19 @@ fn sweep_yz_ref<R: Real, S: Storage<R>>(
     chunks: &mut [&mut [S::Packed]; NV],
     off: usize,
     axis: Axis,
-    j_range: std::ops::Range<i32>,
-    k_range: std::ops::Range<i32>,
-    scratch: &mut Scratch<R>,
+    j_range: Range<i32>,
+    k_range: Range<i32>,
 ) {
-    let shape = p.shape;
     let d = axis.dim();
-    let st = p.strides[d];
     let inv_dx = p.inv_dx[d];
-    let nx = shape.nx;
-
-    match axis {
-        Axis::Y => {
-            for k in k_range {
-                // flux row at interface (j_range.start - 1/2)
-                let row0 = shape.idx(0, j_range.start - 1, k);
-                for i in 0..nx {
-                    scratch.lo[i] = p.interface_flux(d, row0 + i);
-                }
-                for j in j_range.clone() {
-                    let row = shape.idx(0, j, k);
-                    for i in 0..nx {
-                        scratch.hi[i] = p.interface_flux(d, row + i);
-                    }
-                    for i in 0..nx {
-                        let loc = row + i - off;
-                        for v in 0..NV {
-                            let acc = S::unpack(chunks[v][loc])
-                                + (scratch.lo[i][v] - scratch.hi[i][v]) * inv_dx;
-                            chunks[v][loc] = S::pack(acc);
-                        }
-                    }
-                    std::mem::swap(&mut scratch.lo, &mut scratch.hi);
-                }
-            }
-        }
-        Axis::Z => {
-            for j in j_range {
-                let row0 = shape.idx(0, j, k_range.start - 1);
-                for i in 0..nx {
-                    scratch.lo[i] = p.interface_flux(d, row0 + i);
-                }
-                for k in k_range.clone() {
-                    let row = shape.idx(0, j, k);
-                    debug_assert_eq!(row, row0 + ((k - (k_range.start - 1)) as usize) * st);
-                    for i in 0..nx {
-                        scratch.hi[i] = p.interface_flux(d, row + i);
-                    }
-                    for i in 0..nx {
-                        let loc = row + i - off;
-                        for v in 0..NV {
-                            let acc = S::unpack(chunks[v][loc])
-                                + (scratch.lo[i][v] - scratch.hi[i][v]) * inv_dx;
-                            chunks[v][loc] = S::pack(acc);
-                        }
-                    }
-                    std::mem::swap(&mut scratch.lo, &mut scratch.hi);
-                }
-            }
-        }
-        Axis::X => unreachable!("x uses sweep_x_ref"),
-    }
+    walk_transverse_rows(
+        p.shape,
+        axis,
+        j_range,
+        k_range,
+        |lin| p.interface_flux(d, lin),
+        |lin, lo, hi| apply_ref::<R, S>(chunks, lin - off, lo, hi, inv_dx),
+    );
 }
 
 // --- fused (row-buffered SoA) sweeps -------------------------------------
@@ -867,8 +905,8 @@ fn sweep_x_fused<R: Real, S: Storage<R>>(
     p: &FluxParams<'_, R, S>,
     chunks: &mut [&mut [S::Packed]; NV],
     off: usize,
-    j_range: std::ops::Range<i32>,
-    k_range: std::ops::Range<i32>,
+    j_range: Range<i32>,
+    k_range: Range<i32>,
     scratch: &mut Scratch<R>,
 ) {
     let shape = p.shape;
@@ -995,8 +1033,8 @@ fn sweep_yz_fused<R: Real, S: Storage<R>>(
     chunks: &mut [&mut [S::Packed]; NV],
     off: usize,
     axis: Axis,
-    j_range: std::ops::Range<i32>,
-    k_range: std::ops::Range<i32>,
+    j_range: Range<i32>,
+    k_range: Range<i32>,
     scratch: &mut Scratch<R>,
 ) {
     let shape = p.shape;

@@ -11,6 +11,8 @@
 //! the previous Σ as warm start, ≤ 5 Jacobi or Gauss–Seidel sweeps converge
 //! to far below the discretization error (§5.2).
 
+use crate::config::EllipticKind;
+use crate::memory::MemoryReport;
 use crate::state::State;
 use crate::CONVERT_BLOCK;
 use igr_grid::{Axis, Domain, Field, GridShape};
@@ -645,6 +647,107 @@ fn point_update<R: Real, S: Storage<R>>(
         den += alpha * inv_dx2 * (R::ONE / rp + R::ONE / rm);
     }
     num / den
+}
+
+/// A Jacobi sweep kernel, `(ρ, b, Σ_old, Σ_new, domain, α)`:
+/// [`jacobi_sweep`] or [`jacobi_sweep_reference`].
+pub type JacobiSweep<R, S> =
+    fn(&Field<R, S>, &Field<R, S>, &Field<R, S>, &mut Field<R, S>, &Domain, f64);
+
+/// The persistent arrays of the elliptic solve and its warm-start flag: Σ,
+/// the elliptic right-hand side `b`, and Σ's Jacobi copy (absent under
+/// Gauss–Seidel — the paper's `17 N` vs `17 N + 1 N`). Every IGR scheme
+/// keeps one; each computes `b` and the density the sweeps read its own way.
+pub struct EllipticWorkspace<R: Real, S: Storage<R>> {
+    sigma: Field<R, S>,
+    source: Field<R, S>,
+    sigma_tmp: Option<Field<R, S>>,
+    /// False until the first solve has run (cold start needs more sweeps;
+    /// every later solve warm-starts from the previous Σ).
+    warm: bool,
+}
+
+impl<R: Real, S: Storage<R>> EllipticWorkspace<R, S> {
+    /// Zeroed, cold workspace on `shape` for the given relaxation method.
+    pub fn new(shape: GridShape, elliptic: EllipticKind) -> Self {
+        EllipticWorkspace {
+            sigma: Field::zeros(shape),
+            source: Field::zeros(shape),
+            sigma_tmp: match elliptic {
+                EllipticKind::Jacobi => Some(Field::zeros(shape)),
+                EllipticKind::GaussSeidel => None,
+            },
+            warm: false,
+        }
+    }
+
+    /// Current entropic pressure field.
+    pub fn sigma(&self) -> &Field<R, S> {
+        &self.sigma
+    }
+
+    /// Mutable access to Σ for checkpoint restore. Marks the workspace warm
+    /// so the next solve does ordinary warm-started sweeps instead of the
+    /// cold-start count — restoring both Σ and the flow state reproduces an
+    /// uninterrupted run bit for bit.
+    pub fn sigma_mut(&mut self) -> &mut Field<R, S> {
+        self.warm = true;
+        &mut self.sigma
+    }
+
+    /// The elliptic right-hand side `b`, for the caller's source kernel.
+    pub fn source_mut(&mut self) -> &mut Field<R, S> {
+        &mut self.source
+    }
+
+    /// Relax eq. (9) with density `rho`, warm-starting from the previous Σ:
+    /// `sweeps` sweeps (at least `cold_start_sweeps` on the first solve),
+    /// Jacobi through `jacobi` or in-place red–black Gauss–Seidel, with
+    /// `fill` refreshing Σ's ghosts before every sweep and once after.
+    #[allow(clippy::too_many_arguments)]
+    pub fn relax(
+        &mut self,
+        rho: &Field<R, S>,
+        domain: &Domain,
+        alpha: f64,
+        sweeps: usize,
+        cold_start_sweeps: usize,
+        jacobi: JacobiSweep<R, S>,
+        mut fill: impl FnMut(&mut Field<R, S>),
+    ) {
+        let sweeps = if self.warm {
+            sweeps
+        } else {
+            sweeps.max(cold_start_sweeps)
+        };
+        self.warm = true;
+        for _ in 0..sweeps {
+            {
+                let _sp = igr_obs::span!("ghost.sigma");
+                fill(&mut self.sigma);
+            }
+            let _sp = igr_obs::span!("sigma.sweep");
+            match &mut self.sigma_tmp {
+                Some(tmp) => {
+                    jacobi(rho, &self.source, &self.sigma, tmp, domain, alpha);
+                    std::mem::swap(&mut self.sigma, tmp);
+                }
+                None => gauss_seidel_sweep(rho, &self.source, &mut self.sigma, domain, alpha),
+            }
+        }
+        let _sp = igr_obs::span!("ghost.sigma");
+        fill(&mut self.sigma);
+    }
+
+    /// The workspace's rows of a [`MemoryReport`].
+    pub fn memory_report(&self, report: &mut MemoryReport) {
+        let n = self.sigma.shape().n_total();
+        report.push("sigma", n, self.sigma.storage_bytes());
+        report.push("igr_rhs", n, self.source.storage_bytes());
+        if let Some(tmp) = &self.sigma_tmp {
+            report.push("sigma_tmp (Jacobi)", n, tmp.storage_bytes());
+        }
+    }
 }
 
 #[cfg(test)]

@@ -8,12 +8,12 @@
 //! `igr-comm`).
 
 use crate::bc::{fill_ghosts_cached, fill_scalar_ghosts, BcSet, FaceMask, InflowCache, ALL_FACES};
-use crate::config::{EllipticKind, IgrConfig, KernelPath, RkOrder};
+use crate::config::{IgrConfig, KernelPath, RkOrder};
 use crate::memory::MemoryReport;
 use crate::rhs::{accumulate_fluxes, FluxParams};
 use crate::sigma::{
-    compute_igr_source, compute_igr_source_reference, gauss_seidel_sweep, jacobi_sweep,
-    jacobi_sweep_reference,
+    compute_igr_source, compute_igr_source_reference, jacobi_sweep, jacobi_sweep_reference,
+    EllipticWorkspace,
 };
 use crate::state::State;
 use crate::stepper::advance;
@@ -121,32 +121,18 @@ pub struct IgrScheme<R: Real, S: Storage<R>> {
     pub cfg: IgrConfig,
     pub domain: Domain,
     alpha: f64,
-    sigma: Field<R, S>,
-    sigma_tmp: Option<Field<R, S>>,
-    igr_rhs: Field<R, S>,
-    /// False until the first elliptic solve has run (cold start needs more
-    /// sweeps; every later solve warm-starts from the previous Σ).
-    warm: bool,
+    elliptic: EllipticWorkspace<R, S>,
 }
 
 impl<R: Real, S: Storage<R>> IgrScheme<R, S> {
     pub fn new(cfg: IgrConfig, domain: Domain) -> Self {
         cfg.validate().expect("invalid IgrConfig");
         cfg.bc.validate().expect("invalid boundary conditions");
-        let shape = domain.shape;
-        let alpha = cfg.alpha(domain.dx_max());
-        let sigma_tmp = match cfg.elliptic {
-            EllipticKind::Jacobi => Some(Field::zeros(shape)),
-            EllipticKind::GaussSeidel => None,
-        };
         IgrScheme {
+            alpha: cfg.alpha(domain.dx_max()),
+            elliptic: EllipticWorkspace::new(domain.shape, cfg.elliptic),
             cfg,
             domain,
-            alpha,
-            sigma: Field::zeros(shape),
-            sigma_tmp,
-            igr_rhs: Field::zeros(shape),
-            warm: false,
         }
     }
 
@@ -157,16 +143,13 @@ impl<R: Real, S: Storage<R>> IgrScheme<R, S> {
 
     /// Current entropic pressure field (diagnostics, checkpointing).
     pub fn sigma(&self) -> &Field<R, S> {
-        &self.sigma
+        self.elliptic.sigma()
     }
 
-    /// Mutable access to Σ for checkpoint restore. Marks the scheme warm so
-    /// the next solve does ordinary warm-started sweeps instead of the
-    /// cold-start count — restoring both Σ and the flow state reproduces an
-    /// uninterrupted run bit for bit.
+    /// Mutable access to Σ for checkpoint restore (see
+    /// [`EllipticWorkspace::sigma_mut`]: the next solve runs warm).
     pub fn sigma_mut(&mut self) -> &mut Field<R, S> {
-        self.warm = true;
-        &mut self.sigma
+        self.elliptic.sigma_mut()
     }
 
     /// Relax the elliptic system (eq. 9) with the configured method,
@@ -178,50 +161,21 @@ impl<R: Real, S: Storage<R>> IgrScheme<R, S> {
         };
         {
             let _sp = igr_obs::span!("igr.source");
-            source(q, &self.domain, self.alpha, &mut self.igr_rhs);
+            source(q, &self.domain, self.alpha, self.elliptic.source_mut());
         }
-        let sweeps = if self.warm {
-            self.cfg.sweeps
-        } else {
-            self.cfg.sweeps.max(self.cfg.cold_start_sweeps)
-        };
-        self.warm = true;
-        for _ in 0..sweeps {
-            {
-                let _sp = igr_obs::span!("ghost.sigma");
-                ghost.fill_scalar(&mut self.sigma);
-            }
-            let _sp = igr_obs::span!("sigma.sweep");
-            match self.cfg.elliptic {
-                EllipticKind::Jacobi => {
-                    let tmp = self.sigma_tmp.as_mut().expect("Jacobi requires sigma_tmp");
-                    let sweep = match self.cfg.kernel {
-                        KernelPath::Fused => jacobi_sweep,
-                        KernelPath::Reference => jacobi_sweep_reference,
-                    };
-                    sweep(
-                        &q.rho,
-                        &self.igr_rhs,
-                        &self.sigma,
-                        tmp,
-                        &self.domain,
-                        self.alpha,
-                    );
-                    std::mem::swap(&mut self.sigma, tmp);
-                }
-                EllipticKind::GaussSeidel => {
-                    gauss_seidel_sweep(
-                        &q.rho,
-                        &self.igr_rhs,
-                        &mut self.sigma,
-                        &self.domain,
-                        self.alpha,
-                    );
-                }
-            }
-        }
-        let _sp = igr_obs::span!("ghost.sigma");
-        ghost.fill_scalar(&mut self.sigma);
+        let cfg = &self.cfg;
+        self.elliptic.relax(
+            &q.rho,
+            &self.domain,
+            self.alpha,
+            cfg.sweeps,
+            cfg.cold_start_sweeps,
+            match cfg.kernel {
+                KernelPath::Fused => jacobi_sweep,
+                KernelPath::Reference => jacobi_sweep_reference,
+            },
+            |s| ghost.fill_scalar(s),
+        );
     }
 }
 
@@ -259,7 +213,7 @@ impl<R: Real, S: Storage<R>> RhsScheme<R, S> for IgrScheme<R, S> {
         rhs.zero();
         let params = FluxParams::new(
             q,
-            &self.sigma,
+            self.elliptic.sigma(),
             &self.domain,
             self.cfg.gamma,
             self.cfg.mu,
@@ -273,12 +227,7 @@ impl<R: Real, S: Storage<R>> RhsScheme<R, S> for IgrScheme<R, S> {
     }
 
     fn memory_report(&self, report: &mut MemoryReport) {
-        let n = self.domain.shape.n_total();
-        report.push("sigma", n, self.sigma.storage_bytes());
-        report.push("igr_rhs", n, self.igr_rhs.storage_bytes());
-        if let Some(tmp) = &self.sigma_tmp {
-            report.push("sigma_tmp (Jacobi)", n, tmp.storage_bytes());
-        }
+        self.elliptic.memory_report(report);
     }
 }
 
@@ -455,14 +404,8 @@ impl<R: Real, S: Storage<R>, Sch: RhsScheme<R, S>, G: GhostOps<R, S>> Solver<R, 
     /// Full persistent-array inventory: the two state buffers, the RHS
     /// buffer, and the scheme's own arrays — the paper's 17–18 N accounting.
     pub fn memory_report(&self) -> MemoryReport {
-        let shape = self.domain.shape;
-        let n = shape.n_total();
-        let mut r = MemoryReport::new(shape.n_interior());
-        for (name, st) in [("q", &self.q), ("q_rk", &self.q_rk), ("rhs", &self.rhs)] {
-            for (v, f) in st.fields().into_iter().enumerate() {
-                r.push(format!("{name}[{v}]"), n, f.storage_bytes());
-            }
-        }
+        let mut r = MemoryReport::new(self.domain.shape.n_interior());
+        r.push_state_buffers([&self.q, &self.q_rk, &self.rhs]);
         self.scheme.memory_report(&mut r);
         r
     }
@@ -482,7 +425,9 @@ pub fn igr_solver<R: Real, S: Storage<R>>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::EllipticKind;
     use crate::eos::Prim;
+    use crate::state::Fields;
     use igr_grid::GridShape;
     use igr_prec::StoreF64;
 

@@ -1,10 +1,134 @@
-//! The five conserved fields `(ρ, ρu, ρv, ρw, E)` as structure-of-arrays.
+//! Structure-of-arrays state: the [`Fields`] trait every equation set's
+//! state implements, and [`State`], the five conserved fields
+//! `(ρ, ρu, ρv, ρw, E)`.
 
 use crate::eos::{cons_to_prim, Cons, Prim, NV};
 use crate::CONVERT_BLOCK;
 use igr_grid::{Axis, Domain, Field, GridShape};
 use igr_prec::{Real, Storage};
 use rayon::prelude::*;
+
+/// `NF` same-shape [`Field`]s held as structure-of-arrays: a stored state,
+/// an RK stage buffer or an RHS accumulator of any equation set.
+///
+/// Implementors supply the shape and the field views; everything that does
+/// not depend on the physics (tuple access, zeroing, the RK updates,
+/// integrals, health scans) is provided here once.
+pub trait Fields<R: Real, S: Storage<R>, const NF: usize> {
+    /// The grid shape every field lives on.
+    fn shape(&self) -> GridShape;
+
+    /// The fields, in stored order.
+    fn fields(&self) -> [&Field<R, S>; NF];
+
+    /// Mutable views of the fields, in stored order.
+    fn fields_mut(&mut self) -> [&mut Field<R, S>; NF];
+
+    /// The packed arrays as mutable slices (for chunked parallel writes).
+    fn split_mut_packed(&mut self) -> [&mut [S::Packed]; NF] {
+        self.fields_mut().map(|f| f.packed_mut())
+    }
+
+    /// Total storage bytes of the fields.
+    fn storage_bytes(&self) -> usize {
+        self.fields().iter().map(|f| f.storage_bytes()).sum()
+    }
+
+    /// Stored tuple at a (possibly ghost) cell.
+    #[inline(always)]
+    fn cons_at(&self, i: i32, j: i32, k: i32) -> [R; NF] {
+        self.fields().map(|f| f.at(i, j, k))
+    }
+
+    /// Stored tuple at a linear index.
+    #[inline(always)]
+    fn cons_at_lin(&self, lin: usize) -> [R; NF] {
+        self.fields().map(|f| f.at_lin(lin))
+    }
+
+    /// Write a stored tuple at a cell.
+    #[inline(always)]
+    fn set_cons(&mut self, i: i32, j: i32, k: i32, q: [R; NF]) {
+        for (f, x) in self.fields_mut().into_iter().zip(q) {
+            f.set(i, j, k, x);
+        }
+    }
+
+    /// Set every stored (interior + ghost) cell to zero.
+    fn zero(&mut self) {
+        for f in self.fields_mut() {
+            f.fill(R::ZERO);
+        }
+    }
+
+    /// `self = src + dt * rhs` elementwise (RK stage 1), parallel.
+    fn euler_from(&mut self, src: &Self, dt: R, rhs: &Self) {
+        combine_with(self.split_mut_packed(), src, rhs, |_, s, r| s + dt * r);
+    }
+
+    /// `self = a*base + b*(self + dt*rhs)` elementwise (SSP-RK combine),
+    /// parallel. This is the paper's two-buffer arrangement (§5.5.3): the
+    /// "previous state" buffer updates the current RK stage in place.
+    fn rk_combine(&mut self, a: R, base: &Self, b: R, dt: R, rhs: &Self) {
+        let f = |cur: R, s: R, r: R| a * s + b * (cur + dt * r);
+        combine_with(self.split_mut_packed(), base, rhs, f);
+    }
+
+    /// Interior integrals of the stored quantities times the cell volume
+    /// (conservation checks).
+    fn totals(&self, domain: &Domain) -> [f64; NF] {
+        let vol = domain.cell_volume();
+        self.fields().map(|f| f.sum_interior(|x| x.to_f64()) * vol)
+    }
+
+    /// First non-finite interior value as `(field, cell)`, if any
+    /// (instability detection). Row-slice scan with a branch-free healthy
+    /// path — see [`Field::find_non_finite_interior`].
+    fn find_non_finite(&self) -> Option<(usize, (i32, i32, i32))> {
+        self.fields()
+            .into_iter()
+            .enumerate()
+            .find_map(|(v, f)| f.find_non_finite_interior().map(|pos| (v, pos)))
+    }
+
+    /// Max-norm of the difference to another state over interior cells.
+    fn max_diff(&self, other: &Self) -> f64 {
+        assert_eq!(self.shape(), other.shape());
+        let mut m = 0.0f64;
+        for (a, b) in self.fields().into_iter().zip(other.fields()) {
+            for lin in self.shape().interior_indices() {
+                m = m.max((a.at_lin(lin).to_f64() - b.at_lin(lin).to_f64()).abs());
+            }
+        }
+        m
+    }
+}
+
+/// `dst[i] = f(dst[i], src[i], rhs[i])` over every stored cell of every
+/// field, parallel over fixed-size chunks converted through stack buffers.
+fn combine_with<R: Real, S: Storage<R>, const NF: usize, Q: Fields<R, S, NF> + ?Sized>(
+    dsts: [&mut [S::Packed]; NF],
+    src: &Q,
+    rhs: &Q,
+    f: impl Fn(R, R, R) -> R + Sync,
+) {
+    for ((dst, s), r) in dsts.into_iter().zip(src.fields()).zip(rhs.fields()) {
+        let (s, r) = (s.packed(), r.packed());
+        dst.par_chunks_mut(CONVERT_BLOCK)
+            .enumerate()
+            .for_each(|(ci, d)| {
+                let span = ci * CONVERT_BLOCK..ci * CONVERT_BLOCK + d.len();
+                let [mut cb, mut sb, mut rb] = [[R::ZERO; CONVERT_BLOCK]; 3];
+                let sv = S::unpack_view(&s[span.clone()], &mut sb);
+                let rv = S::unpack_view(&r[span], &mut rb);
+                S::update_slice(d, &mut cb, |cur| {
+                    for ((c, &x), &y) in cur.iter_mut().zip(sv).zip(rv) {
+                        *c = f(*c, x, y);
+                    }
+                });
+            });
+    }
+}
 
 /// Conserved state (or RHS accumulator) on one grid block.
 ///
@@ -21,6 +145,29 @@ pub struct State<R: Real, S: Storage<R>> {
     shape: GridShape,
 }
 
+impl<R: Real, S: Storage<R>> Fields<R, S, NV> for State<R, S> {
+    #[inline]
+    fn shape(&self) -> GridShape {
+        self.shape
+    }
+
+    #[inline(always)]
+    fn fields(&self) -> [&Field<R, S>; NV] {
+        [&self.rho, &self.mx, &self.my, &self.mz, &self.en]
+    }
+
+    #[inline(always)]
+    fn fields_mut(&mut self) -> [&mut Field<R, S>; NV] {
+        [
+            &mut self.rho,
+            &mut self.mx,
+            &mut self.my,
+            &mut self.mz,
+            &mut self.en,
+        ]
+    }
+}
+
 impl<R: Real, S: Storage<R>> State<R, S> {
     pub fn zeros(shape: GridShape) -> Self {
         State {
@@ -33,78 +180,33 @@ impl<R: Real, S: Storage<R>> State<R, S> {
         }
     }
 
+    /// The grid shape ([`Fields::shape`], callable without the trait).
     #[inline]
     pub fn shape(&self) -> GridShape {
         self.shape
     }
 
-    /// Total storage bytes of the five fields.
-    pub fn storage_bytes(&self) -> usize {
-        self.fields().iter().map(|f| f.storage_bytes()).sum()
-    }
-
+    /// The five fields ([`Fields::fields`], callable without the trait).
+    #[inline(always)]
     pub fn fields(&self) -> [&Field<R, S>; NV] {
-        [&self.rho, &self.mx, &self.my, &self.mz, &self.en]
+        Fields::fields(self)
     }
 
-    pub fn fields_mut(&mut self) -> [&mut Field<R, S>; NV] {
-        [
-            &mut self.rho,
-            &mut self.mx,
-            &mut self.my,
-            &mut self.mz,
-            &mut self.en,
-        ]
+    /// [`Fields::zero`], callable without the trait.
+    pub fn zero(&mut self) {
+        Fields::zero(self)
     }
 
-    /// The five packed arrays as mutable slices (for chunked parallel writes).
-    pub fn split_mut_packed(&mut self) -> [&mut [S::Packed]; NV] {
-        [
-            self.rho.packed_mut(),
-            self.mx.packed_mut(),
-            self.my.packed_mut(),
-            self.mz.packed_mut(),
-            self.en.packed_mut(),
-        ]
-    }
-
-    /// Conserved tuple at a (possibly ghost) cell.
-    #[inline(always)]
-    pub fn cons_at(&self, i: i32, j: i32, k: i32) -> Cons<R> {
-        [
-            self.rho.at(i, j, k),
-            self.mx.at(i, j, k),
-            self.my.at(i, j, k),
-            self.mz.at(i, j, k),
-            self.en.at(i, j, k),
-        ]
-    }
-
-    /// Conserved tuple at a linear index.
-    #[inline(always)]
-    pub fn cons_at_lin(&self, lin: usize) -> Cons<R> {
-        [
-            self.rho.at_lin(lin),
-            self.mx.at_lin(lin),
-            self.my.at_lin(lin),
-            self.mz.at_lin(lin),
-            self.en.at_lin(lin),
-        ]
-    }
-
-    #[inline(always)]
-    pub fn set_cons(&mut self, i: i32, j: i32, k: i32, q: Cons<R>) {
-        self.rho.set(i, j, k, q[0]);
-        self.mx.set(i, j, k, q[1]);
-        self.my.set(i, j, k, q[2]);
-        self.mz.set(i, j, k, q[3]);
-        self.en.set(i, j, k, q[4]);
+    /// [`Fields::find_non_finite`], callable without the trait.
+    pub fn find_non_finite(&self) -> Option<(usize, (i32, i32, i32))> {
+        Fields::find_non_finite(self)
     }
 
     /// Primitive state at a cell.
     #[inline]
     pub fn prim_at(&self, i: i32, j: i32, k: i32, gamma: R) -> Prim<R> {
-        cons_to_prim(&self.cons_at(i, j, k), gamma)
+        let q: Cons<R> = self.cons_at(i, j, k);
+        cons_to_prim(&q, gamma)
     }
 
     /// Initialize every interior cell from a primitive-state function of the
@@ -127,65 +229,6 @@ impl<R: Real, S: Storage<R>> State<R, S> {
                 }
             }
         }
-    }
-
-    /// Set every stored (interior + ghost) cell to zero.
-    pub fn zero(&mut self) {
-        for f in self.fields_mut() {
-            f.fill(R::ZERO);
-        }
-    }
-
-    /// `self = src + dt * rhs` elementwise (RK stage 1), parallel.
-    pub fn euler_from(&mut self, src: &State<R, S>, dt: R, rhs: &State<R, S>) {
-        self.combine_with(src, rhs, |_, s, r| s + dt * r);
-    }
-
-    /// `self = a*base + b*(self + dt*rhs)` elementwise (SSP-RK combine),
-    /// parallel. This is the paper's two-buffer arrangement (§5.5.3): the
-    /// "previous state" buffer updates the current RK stage in place.
-    pub fn rk_combine(&mut self, a: R, base: &State<R, S>, b: R, dt: R, rhs: &State<R, S>) {
-        self.combine_with(base, rhs, |cur, s, r| a * s + b * (cur + dt * r));
-    }
-
-    /// `self[i] = f(self[i], src[i], rhs[i])` over every stored cell,
-    /// parallel over fixed-size chunks converted through stack buffers.
-    fn combine_with(
-        &mut self,
-        src: &State<R, S>,
-        rhs: &State<R, S>,
-        f: impl Fn(R, R, R) -> R + Sync,
-    ) {
-        let dsts = self.split_mut_packed();
-        for ((dst, s), r) in dsts.into_iter().zip(src.fields()).zip(rhs.fields()) {
-            let (s, r) = (s.packed(), r.packed());
-            dst.par_chunks_mut(CONVERT_BLOCK)
-                .enumerate()
-                .for_each(|(ci, d)| {
-                    let span = ci * CONVERT_BLOCK..ci * CONVERT_BLOCK + d.len();
-                    let [mut cb, mut sb, mut rb] = [[R::ZERO; CONVERT_BLOCK]; 3];
-                    let sv = S::unpack_view(&s[span.clone()], &mut sb);
-                    let rv = S::unpack_view(&r[span], &mut rb);
-                    S::update_slice(d, &mut cb, |cur| {
-                        for ((c, &x), &y) in cur.iter_mut().zip(sv).zip(rv) {
-                            *c = f(*c, x, y);
-                        }
-                    });
-                });
-        }
-    }
-
-    /// Integrals of the conserved quantities over the interior (for
-    /// conservation checks): `(mass, momentum[3], energy)` times cell volume.
-    pub fn totals(&self, domain: &Domain) -> [f64; NV] {
-        let vol = domain.cell_volume();
-        [
-            self.rho.sum_interior(|x| x.to_f64()) * vol,
-            self.mx.sum_interior(|x| x.to_f64()) * vol,
-            self.my.sum_interior(|x| x.to_f64()) * vol,
-            self.mz.sum_interior(|x| x.to_f64()) * vol,
-            self.en.sum_interior(|x| x.to_f64()) * vol,
-        ]
     }
 
     /// Largest admissible time step: `cfl / max_cells Σ_d (|u_d|+c)/Δx_d`,
@@ -229,28 +272,6 @@ impl<R: Real, S: Storage<R>> State<R, S> {
             "degenerate wave speeds"
         );
         cfl / max_signal
-    }
-
-    /// First non-finite interior value, if any (instability detection).
-    /// Row-slice scan with a branch-free healthy path — see
-    /// [`Field::find_non_finite_interior`].
-    pub fn find_non_finite(&self) -> Option<(usize, (i32, i32, i32))> {
-        self.fields()
-            .into_iter()
-            .enumerate()
-            .find_map(|(v, f)| f.find_non_finite_interior().map(|pos| (v, pos)))
-    }
-
-    /// Max-norm of the difference to another state over interior cells.
-    pub fn max_diff(&self, other: &State<R, S>) -> f64 {
-        assert_eq!(self.shape, other.shape);
-        let mut m = 0.0f64;
-        for (a, b) in self.fields().into_iter().zip(other.fields()) {
-            for lin in self.shape.interior_indices() {
-                m = m.max((a.at_lin(lin).to_f64() - b.at_lin(lin).to_f64()).abs());
-            }
-        }
-        m
     }
 }
 

@@ -13,24 +13,25 @@
 //! ```
 
 use crate::config::RkOrder;
-use crate::state::State;
+use crate::state::Fields;
 use igr_prec::{Real, Storage};
 
 /// One full RK step: evaluates `rhs_fn(stage_state, rhs_out)` once per stage
 /// and leaves the advanced solution in `q_rk`, swapping it with `q` at the
 /// end — so on return `q` holds `q^{n+1}` and `q_rk` the old `q^n` (reused
-/// as scratch next step).
-pub fn advance<R, S, F>(
+/// as scratch next step). Generic over the equation set's [`Fields`].
+pub fn advance<R, S, const NF: usize, Q, F>(
     rk: RkOrder,
     dt: R,
-    q: &mut State<R, S>,
-    q_rk: &mut State<R, S>,
-    rhs: &mut State<R, S>,
+    q: &mut Q,
+    q_rk: &mut Q,
+    rhs: &mut Q,
     mut rhs_fn: F,
 ) where
     R: Real,
     S: Storage<R>,
-    F: FnMut(&mut State<R, S>, &mut State<R, S>),
+    Q: Fields<R, S, NF>,
+    F: FnMut(&mut Q, &mut Q),
 {
     match rk {
         RkOrder::Rk1 => {
@@ -58,6 +59,7 @@ pub fn advance<R, S, F>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::state::State;
     use igr_grid::GridShape;
     use igr_prec::StoreF64;
 

@@ -6,6 +6,7 @@
 
 use crate::eos::{MixEos, MixPrim, I_MX};
 use crate::state::SpeciesState;
+use igr_core::Fields;
 use igr_grid::{Axis, Domain, GridShape};
 use igr_prec::{Real, Storage};
 use std::sync::Arc;

@@ -76,8 +76,9 @@ impl MixEos {
         R::ONE + R::ONE / self.big_gamma(alpha)
     }
 
+    /// Reject specific-heat ratios that are not above 1 (NaN included).
     pub fn validate(&self) -> Result<(), String> {
-        if self.gamma1 <= 1.0 || self.gamma2 <= 1.0 {
+        if !(self.gamma1 > 1.0 && self.gamma2 > 1.0) {
             return Err(format!(
                 "both specific-heat ratios must exceed 1, got ({}, {})",
                 self.gamma1, self.gamma2

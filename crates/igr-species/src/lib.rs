@@ -27,9 +27,15 @@
 //! interfaces without spurious pressure oscillations (Abgrall's
 //! consistency argument) — verified to machine precision by the tests.
 //!
-//! Numerics mirror `igr-core` exactly: 5th/3rd/1st-order linear
-//! reconstruction, local Lax–Friedrichs fluxes, SSP-RK3 with two state
-//! buffers, and a fused RHS kernel whose intermediates are thread-local.
+//! What is shared with `igr-core` through its [`igr_core::Fields`] trait:
+//! the state operations (tuple access, zeroing, the RK updates on the F16C
+//! slice path, integrals, health scans), the SSP-RK two-buffer loop
+//! (`igr_core::stepper::advance`), the slab-parallel chunk dispatch and the
+//! buffered flux-row walks, the Σ workspace and its relaxation loop
+//! (`igr_core::sigma::EllipticWorkspace`), and the memory-report rows. What
+//! is still species-specific: the mixture EOS, the interface flux with the
+//! `α∇·u` term, the Σ source and mixture density, the boundary fill and the
+//! CFL scan.
 //!
 //! Crate layout:
 //! * [`eos`] — mixture thermodynamics (`MixEos`, `MixPrim`) and fluxes;
@@ -37,6 +43,8 @@
 //! * [`bc`] — ghost fill for the seven-field state;
 //! * [`rhs`] — the fused dimension-split RHS kernel;
 //! * [`solver`] — configuration and the time-marching driver.
+
+#![deny(missing_docs)]
 
 pub mod bc;
 pub mod eos;

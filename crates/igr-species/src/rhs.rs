@@ -1,11 +1,12 @@
-//! The fused, dimension-split RHS kernel of the two-fluid model.
+//! The dimension-split RHS kernel of the two-fluid model.
 //!
-//! Identical in structure to `igr_core::rhs` (thread-local reconstruction,
-//! flux, and gradient temporaries; slab-parallel over the outermost active
-//! axis; fixed per-cell arithmetic order, so results are bitwise independent
-//! of the thread count), with two extensions:
+//! The slab decomposition ([`igr_core::rhs::par_over_slabs`]) and the
+//! buffered row walks ([`igr_core::rhs::walk_x_rows`],
+//! [`igr_core::rhs::walk_transverse_rows`]) are `igr-core`'s, so results are
+//! bitwise independent of the thread count there too. What is specific to
+//! the model is the per-interface flux:
 //!
-//! 1. seven stored variables instead of five, and
+//! 1. seven stored variables, the mixture EOS and its validity fallback, and
 //! 2. the quasi-conservative volume-fraction update
 //!    `∂α/∂t = −∇·(αu) + α ∇·u`, whose non-conservative product uses the
 //!    *same* interface velocity `u* = (u_L + u_R)/2` as the central part of
@@ -20,10 +21,12 @@ use crate::eos::{
 use crate::state::SpeciesState;
 use igr_core::config::ReconOrder;
 use igr_core::recon::recon;
-use igr_core::rhs::{layer_chunks, prefix_sums};
+use igr_core::rhs::{par_over_slabs, walk_transverse_rows, walk_x_rows};
+use igr_core::Fields;
 use igr_grid::{Axis, Domain, Field, GridShape};
 use igr_prec::{Real, Storage};
 use rayon::prelude::*;
+use std::ops::Range;
 
 /// Interface flux record: the seven numerical fluxes plus the interface
 /// velocity that feeds the non-conservative `α ∇·u` term.
@@ -33,15 +36,6 @@ pub struct IfaceFlux<R: Real> {
     pub f: Cons2<R>,
     /// `u* = (u_L + u_R)/2` along the sweep direction.
     pub ustar: R,
-}
-
-impl<R: Real> IfaceFlux<R> {
-    fn zero() -> Self {
-        IfaceFlux {
-            f: [R::ZERO; NS],
-            ustar: R::ZERO,
-        }
-    }
 }
 
 /// Everything the flux kernel needs, borrowed immutably and shared across
@@ -186,11 +180,10 @@ impl<'a, R: Real, S: Storage<R>> FluxParams2<'a, R, S> {
         let fl = inviscid_flux(d, &ql, &prl, prl.p + sl);
         let fr = inviscid_flux(d, &qr, &prr, prr.p + sr);
 
-        let mut out = IfaceFlux::zero();
-        for v in 0..NS {
-            out.f[v] = R::HALF * (fl[v] + fr[v]) - R::HALF * lam * (qr[v] - ql[v]);
-        }
-        out.ustar = R::HALF * (prl.vel[d] + prr.vel[d]);
+        let mut out = IfaceFlux {
+            f: std::array::from_fn(|v| R::HALF * (fl[v] + fr[v]) - R::HALF * lam * (qr[v] - ql[v])),
+            ustar: R::HALF * (prl.vel[d] + prr.vel[d]),
+        };
 
         if self.viscous {
             self.subtract_viscous_flux(d, lin_c, &prl, &prr, &mut out.f);
@@ -254,258 +247,42 @@ pub fn accumulate_fluxes2<R: Real, S: Storage<R>>(
     p: &FluxParams2<'_, R, S>,
     rhs: &mut SpeciesState<R, S>,
 ) {
-    let shape = p.shape;
-    let threads = rayon::current_num_threads();
-
-    if shape.is_active(Axis::Z) {
-        let sxy = shape.stride(Axis::Z);
-        let n_layers = shape.total(Axis::Z);
-        let counts = layer_chunks(n_layers, threads);
-        let bounds = prefix_sums(&counts);
-        let sizes: Vec<usize> = counts.iter().map(|&c| c * sxy).collect();
-        let gz = shape.ghosts(Axis::Z) as i32;
-        par_over_uneven_chunks7(rhs, &sizes, |ci, chunks| {
-            let l0 = bounds[ci] as i32;
-            let l1 = bounds[ci + 1] as i32;
-            let k0 = (l0 - gz).max(0);
-            let k1 = (l1 - gz).min(shape.nz as i32);
-            if k0 >= k1 {
-                return;
-            }
-            let off = l0 as usize * sxy;
-            let mut scratch = Scratch::new(shape.nx);
-            process_block(p, chunks, off, 0..shape.ny as i32, k0..k1, &mut scratch);
-        });
-    } else if shape.is_active(Axis::Y) {
-        let sx = shape.stride(Axis::Y);
-        let n_layers = shape.total(Axis::Y);
-        let counts = layer_chunks(n_layers, threads);
-        let bounds = prefix_sums(&counts);
-        let sizes: Vec<usize> = counts.iter().map(|&c| c * sx).collect();
-        let gy = shape.ghosts(Axis::Y) as i32;
-        par_over_uneven_chunks7(rhs, &sizes, |ci, chunks| {
-            let l0 = bounds[ci] as i32;
-            let l1 = bounds[ci + 1] as i32;
-            let j0 = (l0 - gy).max(0);
-            let j1 = (l1 - gy).min(shape.ny as i32);
-            if j0 >= j1 {
-                return;
-            }
-            let off = l0 as usize * sx;
-            let mut scratch = Scratch::new(shape.nx);
-            process_block(p, chunks, off, j0..j1, 0..1, &mut scratch);
-        });
-    } else {
-        let chunks = rhs.split_mut_packed();
-        let mut scratch = Scratch::new(shape.nx);
-        process_block(p, chunks, 0, 0..1, 0..1, &mut scratch);
-    }
-}
-
-/// Split the seven arrays into aligned chunks and run `f` on each set in
-/// parallel (the 7-variable sibling of `igr_core::rhs::par_over_chunks`).
-pub fn par_over_chunks7<R: Real, S: Storage<R>>(
-    rhs: &mut SpeciesState<R, S>,
-    csize: usize,
-    f: impl Fn(usize, [&mut [S::Packed]; NS]) + Sync,
-) {
-    let [r0, r1, r2, r3, r4, r5, r6] = rhs.split_mut_packed();
-    r0.par_chunks_mut(csize)
-        .zip(r1.par_chunks_mut(csize))
-        .zip(r2.par_chunks_mut(csize))
-        .zip(r3.par_chunks_mut(csize))
-        .zip(r4.par_chunks_mut(csize))
-        .zip(r5.par_chunks_mut(csize))
-        .zip(r6.par_chunks_mut(csize))
-        .enumerate()
-        .for_each(|(ci, ((((((c0, c1), c2), c3), c4), c5), c6))| {
-            f(ci, [c0, c1, c2, c3, c4, c5, c6])
-        });
-}
-
-/// [`par_over_chunks7`] with caller-specified chunk sizes (the balanced
-/// layer decomposition of [`layer_chunks`]).
-pub fn par_over_uneven_chunks7<R: Real, S: Storage<R>>(
-    rhs: &mut SpeciesState<R, S>,
-    sizes: &[usize],
-    f: impl Fn(usize, [&mut [S::Packed]; NS]) + Sync,
-) {
-    let [r0, r1, r2, r3, r4, r5, r6] = rhs.split_mut_packed();
-    r0.par_uneven_chunks_mut(sizes.to_vec())
-        .zip(r1.par_uneven_chunks_mut(sizes.to_vec()))
-        .zip(r2.par_uneven_chunks_mut(sizes.to_vec()))
-        .zip(r3.par_uneven_chunks_mut(sizes.to_vec()))
-        .zip(r4.par_uneven_chunks_mut(sizes.to_vec()))
-        .zip(r5.par_uneven_chunks_mut(sizes.to_vec()))
-        .zip(r6.par_uneven_chunks_mut(sizes.to_vec()))
-        .enumerate()
-        .for_each(|(ci, ((((((c0, c1), c2), c3), c4), c5), c6))| {
-            f(ci, [c0, c1, c2, c3, c4, c5, c6])
-        });
-}
-
-/// Per-task flux-row buffers.
-struct Scratch<R: Real> {
-    lo: Vec<IfaceFlux<R>>,
-    hi: Vec<IfaceFlux<R>>,
-}
-
-impl<R: Real> Scratch<R> {
-    fn new(nx: usize) -> Self {
-        Scratch {
-            lo: vec![IfaceFlux::zero(); nx],
-            hi: vec![IfaceFlux::zero(); nx],
+    par_over_slabs(rhs, |mut chunks, off, j_range, k_range| {
+        for axis in p.shape.active_axes() {
+            sweep(p, &mut chunks, off, axis, j_range.clone(), k_range.clone());
         }
-    }
+    });
 }
 
-fn process_block<R: Real, S: Storage<R>>(
-    p: &FluxParams2<'_, R, S>,
-    mut chunks: [&mut [S::Packed]; NS],
-    off: usize,
-    j_range: std::ops::Range<i32>,
-    k_range: std::ops::Range<i32>,
-    scratch: &mut Scratch<R>,
-) {
-    let shape = p.shape;
-    if shape.is_active(Axis::X) {
-        sweep_x(p, &mut chunks, off, j_range.clone(), k_range.clone());
-    }
-    if shape.is_active(Axis::Y) {
-        sweep_row_buffered(
-            p,
-            &mut chunks,
-            off,
-            Axis::Y,
-            j_range.clone(),
-            k_range.clone(),
-            scratch,
-        );
-    }
-    if shape.is_active(Axis::Z) {
-        sweep_row_buffered(p, &mut chunks, off, Axis::Z, j_range, k_range, scratch);
-    }
-}
-
-/// Difference two interface fluxes into the cell at `loc`, including the
-/// non-conservative volume-fraction term.
-#[inline(always)]
-fn apply_cell<R: Real, S: Storage<R>>(
-    chunks: &mut [&mut [S::Packed]; NS],
-    loc: usize,
-    f_lo: &IfaceFlux<R>,
-    f_hi: &IfaceFlux<R>,
-    alpha_c: R,
-    inv_dx: R,
-) {
-    for v in 0..NS {
-        let acc = S::unpack(chunks[v][loc]) + (f_lo.f[v] - f_hi.f[v]) * inv_dx;
-        chunks[v][loc] = S::pack(acc);
-    }
-    // α: −∇·(αu) is already accumulated above; add +α_c ∇·u with the same
-    // interface velocities, so uniform α telescopes to exactly zero.
-    let acc = S::unpack(chunks[I_A][loc]) + alpha_c * (f_hi.ustar - f_lo.ustar) * inv_dx;
-    chunks[I_A][loc] = S::pack(acc);
-}
-
-fn sweep_x<R: Real, S: Storage<R>>(
-    p: &FluxParams2<'_, R, S>,
-    chunks: &mut [&mut [S::Packed]; NS],
-    off: usize,
-    j_range: std::ops::Range<i32>,
-    k_range: std::ops::Range<i32>,
-) {
-    let shape = p.shape;
-    let inv_dx = p.inv_dx[0];
-    let alpha_field = p.q.field(I_A);
-    for k in k_range {
-        for j in j_range.clone() {
-            let base = shape.idx(0, j, k);
-            let mut f_prev = p.interface_flux(0, base - 1);
-            for c in 0..shape.nx {
-                let lin = base + c;
-                let f_cur = p.interface_flux(0, lin);
-                apply_cell::<R, S>(
-                    chunks,
-                    lin - off,
-                    &f_prev,
-                    &f_cur,
-                    alpha_field.at_lin(lin),
-                    inv_dx,
-                );
-                f_prev = f_cur;
-            }
-        }
-    }
-}
-
-fn sweep_row_buffered<R: Real, S: Storage<R>>(
+/// One direction's flux differences over the cell rows `j_range × k_range`
+/// of a slab, including the non-conservative volume-fraction term:
+/// `−∇·(αu)` comes with the conservative fluxes, `+α_c ∇·u` is added from
+/// the same interface velocities, so a uniform `α` telescopes to exactly
+/// zero.
+fn sweep<R: Real, S: Storage<R>>(
     p: &FluxParams2<'_, R, S>,
     chunks: &mut [&mut [S::Packed]; NS],
     off: usize,
     axis: Axis,
-    j_range: std::ops::Range<i32>,
-    k_range: std::ops::Range<i32>,
-    scratch: &mut Scratch<R>,
+    j_range: Range<i32>,
+    k_range: Range<i32>,
 ) {
-    let shape = p.shape;
     let d = axis.dim();
     let inv_dx = p.inv_dx[d];
-    let nx = shape.nx;
-    let alpha_field = p.q.field(I_A);
-
+    let alpha = p.q.field(I_A);
+    let flux = |lin| p.interface_flux(d, lin);
+    let apply = |lin: usize, lo: &IfaceFlux<R>, hi: &IfaceFlux<R>| {
+        let loc = lin - off;
+        for v in 0..NS {
+            let acc = S::unpack(chunks[v][loc]) + (lo.f[v] - hi.f[v]) * inv_dx;
+            chunks[v][loc] = S::pack(acc);
+        }
+        let acc = S::unpack(chunks[I_A][loc]) + alpha.at_lin(lin) * (hi.ustar - lo.ustar) * inv_dx;
+        chunks[I_A][loc] = S::pack(acc);
+    };
     match axis {
-        Axis::Y => {
-            for k in k_range {
-                let row0 = shape.idx(0, j_range.start - 1, k);
-                for i in 0..nx {
-                    scratch.lo[i] = p.interface_flux(d, row0 + i);
-                }
-                for j in j_range.clone() {
-                    let row = shape.idx(0, j, k);
-                    for i in 0..nx {
-                        scratch.hi[i] = p.interface_flux(d, row + i);
-                    }
-                    for i in 0..nx {
-                        apply_cell::<R, S>(
-                            chunks,
-                            row + i - off,
-                            &scratch.lo[i],
-                            &scratch.hi[i],
-                            alpha_field.at_lin(row + i),
-                            inv_dx,
-                        );
-                    }
-                    std::mem::swap(&mut scratch.lo, &mut scratch.hi);
-                }
-            }
-        }
-        Axis::Z => {
-            for j in j_range {
-                let row0 = shape.idx(0, j, k_range.start - 1);
-                for i in 0..nx {
-                    scratch.lo[i] = p.interface_flux(d, row0 + i);
-                }
-                for k in k_range.clone() {
-                    let row = shape.idx(0, j, k);
-                    for i in 0..nx {
-                        scratch.hi[i] = p.interface_flux(d, row + i);
-                    }
-                    for i in 0..nx {
-                        apply_cell::<R, S>(
-                            chunks,
-                            row + i - off,
-                            &scratch.lo[i],
-                            &scratch.hi[i],
-                            alpha_field.at_lin(row + i),
-                            inv_dx,
-                        );
-                    }
-                    std::mem::swap(&mut scratch.lo, &mut scratch.hi);
-                }
-            }
-        }
-        Axis::X => unreachable!("x uses sweep_x"),
+        Axis::X => walk_x_rows(p.shape, j_range, k_range, flux, apply),
+        _ => walk_transverse_rows(p.shape, axis, j_range, k_range, flux, apply),
     }
 }
 

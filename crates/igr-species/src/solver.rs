@@ -6,10 +6,13 @@ use crate::rhs::{
     accumulate_fluxes2, compute_igr_source_mix, compute_mixture_density, FluxParams2,
 };
 use crate::state::SpeciesState;
-use igr_core::config::{EllipticKind, ReconOrder, RkOrder};
+use igr_core::bc::{fill_scalar_ghosts, ALL_FACES};
+use igr_core::config::{validate_march, EllipticKind, ReconOrder, RkOrder};
 use igr_core::memory::MemoryReport;
-use igr_core::sigma::{gauss_seidel_sweep, jacobi_sweep};
+use igr_core::sigma::{jacobi_sweep, EllipticWorkspace};
 use igr_core::solver::{SolverError, StepInfo};
+use igr_core::stepper::advance;
+use igr_core::Fields;
 use igr_grid::{Domain, Field};
 use igr_prec::{Real, Storage};
 
@@ -69,100 +72,14 @@ impl SpeciesConfig {
     /// Reject invalid parameter combinations.
     pub fn validate(&self) -> Result<(), String> {
         self.eos.validate()?;
-        if self.cfl <= 0.0 || self.cfl > 1.0 {
-            return Err(format!("cfl must be in (0, 1], got {}", self.cfl));
-        }
-        if self.alpha_factor < 0.0 {
-            return Err("alpha_factor must be non-negative".into());
-        }
-        if self.mu < 0.0 || self.zeta < 0.0 {
-            return Err("viscosities must be non-negative".into());
-        }
-        if self.sweeps == 0 && self.alpha_factor > 0.0 {
-            return Err("IGR requires at least one elliptic sweep".into());
-        }
+        validate_march(self.cfl, self.alpha_factor, self.mu, self.zeta, self.sweeps)?;
         self.bc.validate()
     }
 }
 
-/// The per-solver elliptic workspace: Σ, its Jacobi double buffer, the
-/// elliptic right-hand side, and the mixture-density field the sweeps read.
-struct SigmaWorkspace<R: Real, S: Storage<R>> {
-    sigma: Field<R, S>,
-    sigma_tmp: Option<Field<R, S>>,
-    igr_rhs: Field<R, S>,
-    rho_mix: Field<R, S>,
-    warm: bool,
-}
-
-impl<R: Real, S: Storage<R>> SigmaWorkspace<R, S> {
-    fn new(shape: igr_grid::GridShape, elliptic: EllipticKind) -> Self {
-        SigmaWorkspace {
-            sigma: Field::zeros(shape),
-            sigma_tmp: match elliptic {
-                EllipticKind::Jacobi => Some(Field::zeros(shape)),
-                EllipticKind::GaussSeidel => None,
-            },
-            igr_rhs: Field::zeros(shape),
-            rho_mix: Field::zeros(shape),
-            warm: false,
-        }
-    }
-
-    /// Relax eq. (9) with mixture density, warm-starting from the previous Σ.
-    fn solve(
-        &mut self,
-        cfg: &SpeciesConfig,
-        domain: &Domain,
-        alpha_igr: f64,
-        q: &SpeciesState<R, S>,
-    ) {
-        compute_igr_source_mix(q, domain, alpha_igr, &mut self.igr_rhs);
-        compute_mixture_density(q, &mut self.rho_mix);
-        let sweeps = if self.warm {
-            cfg.sweeps
-        } else {
-            cfg.sweeps.max(cfg.cold_start_sweeps)
-        };
-        self.warm = true;
-        let scalar_bcs = cfg.bc.scalar_bcs();
-        for _ in 0..sweeps {
-            igr_core::bc::fill_scalar_ghosts(
-                &mut self.sigma,
-                &scalar_bcs,
-                &igr_core::bc::ALL_FACES,
-            );
-            match cfg.elliptic {
-                EllipticKind::Jacobi => {
-                    let tmp = self.sigma_tmp.as_mut().expect("Jacobi requires sigma_tmp");
-                    jacobi_sweep(
-                        &self.rho_mix,
-                        &self.igr_rhs,
-                        &self.sigma,
-                        tmp,
-                        domain,
-                        alpha_igr,
-                    );
-                    std::mem::swap(&mut self.sigma, tmp);
-                }
-                EllipticKind::GaussSeidel => {
-                    gauss_seidel_sweep(
-                        &self.rho_mix,
-                        &self.igr_rhs,
-                        &mut self.sigma,
-                        domain,
-                        alpha_igr,
-                    );
-                }
-            }
-        }
-        igr_core::bc::fill_scalar_ghosts(&mut self.sigma, &scalar_bcs, &igr_core::bc::ALL_FACES);
-    }
-}
-
 /// Time-marching driver of the two-fluid model: owns the two state buffers
-/// (the paper's two-buffer RK arrangement), the RHS buffer, and the elliptic
-/// workspace.
+/// (the paper's two-buffer RK arrangement), the RHS buffer, the elliptic
+/// workspace, and the mixture density the elliptic sweeps read.
 pub struct SpeciesSolver<R: Real, S: Storage<R>> {
     /// Configuration (treat as immutable after construction).
     pub cfg: SpeciesConfig,
@@ -170,7 +87,8 @@ pub struct SpeciesSolver<R: Real, S: Storage<R>> {
     pub q: SpeciesState<R, S>,
     q_rk: SpeciesState<R, S>,
     rhs: SpeciesState<R, S>,
-    ws: SigmaWorkspace<R, S>,
+    elliptic: EllipticWorkspace<R, S>,
+    rho_mix: Field<R, S>,
     domain: Domain,
     alpha_igr: f64,
     t: f64,
@@ -188,13 +106,13 @@ impl<R: Real, S: Storage<R>> SpeciesSolver<R, S> {
         let shape = domain.shape;
         assert_eq!(q.shape(), shape, "state shape must match domain shape");
         let alpha_igr = cfg.alpha(domain.dx_max());
-        let ws = SigmaWorkspace::new(shape, cfg.elliptic);
         SpeciesSolver {
-            cfg,
             q,
             q_rk: SpeciesState::zeros(shape),
             rhs: SpeciesState::zeros(shape),
-            ws,
+            elliptic: EllipticWorkspace::new(shape, cfg.elliptic),
+            rho_mix: Field::zeros(shape),
+            cfg,
             domain,
             alpha_igr,
             t: 0.0,
@@ -233,16 +151,13 @@ impl<R: Real, S: Storage<R>> SpeciesSolver<R, S> {
 
     /// Current entropic pressure field.
     pub fn sigma(&self) -> &Field<R, S> {
-        &self.ws.sigma
+        self.elliptic.sigma()
     }
 
-    /// Mutable access to Σ for checkpoint restore. Marks the workspace warm
-    /// so the next solve does ordinary warm-started sweeps instead of the
-    /// cold-start count — restoring both Σ and the flow state reproduces an
-    /// uninterrupted run bit for bit.
+    /// Mutable access to Σ for checkpoint restore (see
+    /// [`EllipticWorkspace::sigma_mut`]: the next solve runs warm).
     pub fn sigma_mut(&mut self) -> &mut Field<R, S> {
-        self.ws.warm = true;
-        &mut self.ws.sigma
+        self.elliptic.sigma_mut()
     }
 
     /// CFL-limited time step for the current state.
@@ -266,43 +181,48 @@ impl<R: Real, S: Storage<R>> SpeciesSolver<R, S> {
                 dt,
             });
         }
-        let dt_r = R::from_f64(dt);
         let t0 = self.t;
-
-        match self.cfg.rk {
-            RkOrder::Rk1 => {
-                stage_rhs(self, t0, StageBuf::Q);
-                self.q_rk.euler_from(&self.q, dt_r, &self.rhs);
-            }
-            RkOrder::Rk2 => {
-                stage_rhs(self, t0, StageBuf::Q);
-                self.q_rk.euler_from(&self.q, dt_r, &self.rhs);
-                stage_rhs(self, t0, StageBuf::QRk);
-                self.q_rk
-                    .rk_combine(R::HALF, &self.q, R::HALF, dt_r, &self.rhs);
-            }
-            RkOrder::Rk3 => {
-                stage_rhs(self, t0, StageBuf::Q);
-                self.q_rk.euler_from(&self.q, dt_r, &self.rhs);
-                stage_rhs(self, t0, StageBuf::QRk);
-                self.q_rk.rk_combine(
-                    R::from_f64(0.75),
-                    &self.q,
-                    R::from_f64(0.25),
-                    dt_r,
-                    &self.rhs,
-                );
-                stage_rhs(self, t0, StageBuf::QRk);
-                self.q_rk.rk_combine(
-                    R::from_f64(1.0 / 3.0),
-                    &self.q,
-                    R::from_f64(2.0 / 3.0),
-                    dt_r,
-                    &self.rhs,
+        let SpeciesSolver {
+            cfg,
+            q,
+            q_rk,
+            rhs,
+            elliptic,
+            rho_mix,
+            domain,
+            alpha_igr,
+            ..
+        } = self;
+        advance(cfg.rk, R::from_f64(dt), q, q_rk, rhs, |stage, out| {
+            fill_ghosts(stage, domain, &cfg.bc, &cfg.eos, t0);
+            let use_sigma = *alpha_igr > 0.0;
+            if use_sigma {
+                compute_igr_source_mix(stage, domain, *alpha_igr, elliptic.source_mut());
+                compute_mixture_density(stage, rho_mix);
+                let scalar_bcs = cfg.bc.scalar_bcs();
+                elliptic.relax(
+                    rho_mix,
+                    domain,
+                    *alpha_igr,
+                    cfg.sweeps,
+                    cfg.cold_start_sweeps,
+                    jacobi_sweep,
+                    |s| fill_scalar_ghosts(s, &scalar_bcs, &ALL_FACES),
                 );
             }
-        }
-        std::mem::swap(&mut self.q, &mut self.q_rk);
+            out.zero();
+            let params = FluxParams2::new(
+                stage,
+                elliptic.sigma(),
+                domain,
+                cfg.eos,
+                cfg.mu,
+                cfg.zeta,
+                cfg.order,
+                use_sigma,
+            );
+            accumulate_fluxes2(&params, out);
+        });
 
         self.t += dt;
         self.step_count += 1;
@@ -343,54 +263,12 @@ impl<R: Real, S: Storage<R>> SpeciesSolver<R, S> {
     /// two-fluid analogue of the paper's 17–18 N accounting.
     pub fn memory_report(&self) -> MemoryReport {
         let shape = self.domain.shape;
-        let n = shape.n_total();
         let mut r = MemoryReport::new(shape.n_interior());
-        for (name, st) in [("q", &self.q), ("q_rk", &self.q_rk), ("rhs", &self.rhs)] {
-            for (v, f) in st.fields().into_iter().enumerate() {
-                r.push(format!("{name}[{v}]"), n, f.storage_bytes());
-            }
-        }
-        r.push("sigma", n, self.ws.sigma.storage_bytes());
-        r.push("igr_rhs", n, self.ws.igr_rhs.storage_bytes());
-        r.push("rho_mix", n, self.ws.rho_mix.storage_bytes());
-        if let Some(tmp) = &self.ws.sigma_tmp {
-            r.push("sigma_tmp (Jacobi)", n, tmp.storage_bytes());
-        }
+        r.push_state_buffers([&self.q, &self.q_rk, &self.rhs]);
+        self.elliptic.memory_report(&mut r);
+        r.push("rho_mix", shape.n_total(), self.rho_mix.storage_bytes());
         r
     }
-}
-
-/// Which buffer holds the current RK stage.
-enum StageBuf {
-    Q,
-    QRk,
-}
-
-/// One RHS evaluation: ghost fill → Σ solve → fused flux accumulation.
-/// Free function with explicit field borrows so the stage state and the
-/// workspace can be borrowed disjointly.
-fn stage_rhs<R: Real, S: Storage<R>>(s: &mut SpeciesSolver<R, S>, t: f64, buf: StageBuf) {
-    let (stage, rhs) = match buf {
-        StageBuf::Q => (&mut s.q, &mut s.rhs),
-        StageBuf::QRk => (&mut s.q_rk, &mut s.rhs),
-    };
-    fill_ghosts(stage, &s.domain, &s.cfg.bc, &s.cfg.eos, t);
-    let use_sigma = s.alpha_igr > 0.0;
-    if use_sigma {
-        s.ws.solve(&s.cfg, &s.domain, s.alpha_igr, stage);
-    }
-    rhs.zero();
-    let params = FluxParams2::new(
-        stage,
-        &s.ws.sigma,
-        &s.domain,
-        s.cfg.eos,
-        s.cfg.mu,
-        s.cfg.zeta,
-        s.cfg.order,
-        use_sigma,
-    );
-    accumulate_fluxes2(&params, rhs);
 }
 
 /// Convenience constructor mirroring `igr_core::solver::igr_solver`.
@@ -599,6 +477,23 @@ mod tests {
             ..Default::default()
         };
         assert!(cfg4.validate().is_ok());
+    }
+
+    #[test]
+    fn nan_parameters_are_rejected() {
+        let set: [fn(&mut SpeciesConfig); 6] = [
+            |c| c.eos.gamma1 = f64::NAN,
+            |c| c.eos.gamma2 = f64::NAN,
+            |c| c.cfl = f64::NAN,
+            |c| c.alpha_factor = f64::NAN,
+            |c| c.mu = f64::NAN,
+            |c| c.zeta = f64::NAN,
+        ];
+        for (i, f) in set.into_iter().enumerate() {
+            let mut c = SpeciesConfig::default();
+            f(&mut c);
+            assert!(c.validate().is_err(), "NaN in field {i} must be rejected");
+        }
     }
 
     #[test]

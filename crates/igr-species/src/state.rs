@@ -1,18 +1,35 @@
 //! The seven stored fields of the two-fluid model as structure-of-arrays.
 
-use crate::eos::{
-    cons_to_prim, Cons2, MixEos, MixPrim, I_A, I_E, I_MX, I_MY, I_MZ, I_R1, I_R2, NS,
-};
+use crate::eos::{cons_to_prim, MixEos, MixPrim, I_A, I_E, I_MX, I_MY, I_MZ, I_R1, I_R2, NS};
+use igr_core::Fields;
 use igr_grid::{Domain, Field, GridShape};
 use igr_prec::{Real, Storage};
 use rayon::prelude::*;
 
 /// Stored state (or RHS accumulator) of the two-fluid model on one block:
-/// `(α₁ρ₁, α₂ρ₂, ρu, ρv, ρw, E, α₁)`, each its own [`Field`] (SoA).
+/// `(α₁ρ₁, α₂ρ₂, ρu, ρv, ρw, E, α₁)`, each its own [`Field`] (SoA). Tuple
+/// access, the RK updates, integrals and health scans come from [`Fields`].
 #[derive(Clone, Debug)]
 pub struct SpeciesState<R: Real, S: Storage<R>> {
     fields: [Field<R, S>; NS],
     shape: GridShape,
+}
+
+impl<R: Real, S: Storage<R>> Fields<R, S, NS> for SpeciesState<R, S> {
+    #[inline]
+    fn shape(&self) -> GridShape {
+        self.shape
+    }
+
+    #[inline(always)]
+    fn fields(&self) -> [&Field<R, S>; NS] {
+        self.fields.each_ref()
+    }
+
+    #[inline(always)]
+    fn fields_mut(&mut self) -> [&mut Field<R, S>; NS] {
+        self.fields.each_mut()
+    }
 }
 
 impl<R: Real, S: Storage<R>> SpeciesState<R, S> {
@@ -24,56 +41,10 @@ impl<R: Real, S: Storage<R>> SpeciesState<R, S> {
         }
     }
 
-    /// The grid shape this state lives on.
-    #[inline]
-    pub fn shape(&self) -> GridShape {
-        self.shape
-    }
-
-    /// Total storage bytes of the seven fields.
-    pub fn storage_bytes(&self) -> usize {
-        self.fields.iter().map(|f| f.storage_bytes()).sum()
-    }
-
-    /// Immutable views of the seven fields, in stored order.
-    pub fn fields(&self) -> [&Field<R, S>; NS] {
-        std::array::from_fn(|v| &self.fields[v])
-    }
-
-    /// Mutable views of the seven fields.
-    pub fn fields_mut(&mut self) -> [&mut Field<R, S>; NS] {
-        self.fields.each_mut()
-    }
-
     /// One field by variable index (`I_R1` … `I_A`).
     #[inline]
     pub fn field(&self, v: usize) -> &Field<R, S> {
         &self.fields[v]
-    }
-
-    /// The seven packed arrays as mutable slices (chunked parallel writes).
-    pub fn split_mut_packed(&mut self) -> [&mut [S::Packed]; NS] {
-        self.fields.each_mut().map(|f| f.packed_mut())
-    }
-
-    /// Stored tuple at a (possibly ghost) cell.
-    #[inline(always)]
-    pub fn cons_at(&self, i: i32, j: i32, k: i32) -> Cons2<R> {
-        std::array::from_fn(|v| self.fields[v].at(i, j, k))
-    }
-
-    /// Stored tuple at a linear index.
-    #[inline(always)]
-    pub fn cons_at_lin(&self, lin: usize) -> Cons2<R> {
-        std::array::from_fn(|v| self.fields[v].at_lin(lin))
-    }
-
-    /// Write a stored tuple at a cell.
-    #[inline(always)]
-    pub fn set_cons(&mut self, i: i32, j: i32, k: i32, q: Cons2<R>) {
-        for (v, field) in self.fields.iter_mut().enumerate() {
-            field.set(i, j, k, q[v]);
-        }
     }
 
     /// Primitive mixture state at a cell.
@@ -103,57 +74,6 @@ impl<R: Real, S: Storage<R>> SpeciesState<R, S> {
         }
     }
 
-    /// Set every stored (interior + ghost) cell to zero.
-    pub fn zero(&mut self) {
-        for f in &mut self.fields {
-            f.fill(R::ZERO);
-        }
-    }
-
-    /// `self = src + dt * rhs` elementwise (RK stage 1), parallel.
-    pub fn euler_from(&mut self, src: &SpeciesState<R, S>, dt: R, rhs: &SpeciesState<R, S>) {
-        for ((dst, s), r) in self.fields.iter_mut().zip(&src.fields).zip(&rhs.fields) {
-            dst.packed_mut()
-                .par_iter_mut()
-                .zip(s.packed().par_iter())
-                .zip(r.packed().par_iter())
-                .for_each(|((d, &sv), &rv)| {
-                    *d = S::pack(S::unpack(sv) + dt * S::unpack(rv));
-                });
-        }
-    }
-
-    /// `self = a*base + b*(self + dt*rhs)` elementwise (SSP-RK combine),
-    /// parallel — the same two-buffer arrangement as the single-fluid state.
-    pub fn rk_combine(
-        &mut self,
-        a: R,
-        base: &SpeciesState<R, S>,
-        b: R,
-        dt: R,
-        rhs: &SpeciesState<R, S>,
-    ) {
-        for ((dst, s), r) in self.fields.iter_mut().zip(&base.fields).zip(&rhs.fields) {
-            dst.packed_mut()
-                .par_iter_mut()
-                .zip(s.packed().par_iter())
-                .zip(r.packed().par_iter())
-                .for_each(|((d, &sv), &rv)| {
-                    let cur = S::unpack(*d);
-                    *d = S::pack(a * S::unpack(sv) + b * (cur + dt * S::unpack(rv)));
-                });
-        }
-    }
-
-    /// Interior integrals of the stored quantities times cell volume:
-    /// `(m₁, m₂, ρu, ρv, ρw, E, α₁)`. The first six are conserved; the
-    /// volume-fraction integral is conserved for divergence-free transport
-    /// only (its equation is non-conservative).
-    pub fn totals(&self, domain: &Domain) -> [f64; NS] {
-        let vol = domain.cell_volume();
-        std::array::from_fn(|v| self.fields[v].sum_interior(|x| x.to_f64()) * vol)
-    }
-
     /// Largest admissible time step under the acoustic CFL condition, with a
     /// parabolic term when viscosity is active.
     pub fn max_dt(&self, domain: &Domain, eos: &MixEos, mu: f64, zeta: f64, cfl: f64) -> f64 {
@@ -165,6 +85,10 @@ impl<R: Real, S: Storage<R>> SpeciesState<R, S> {
         let diff = mu.max(zeta);
         let max_signal = (0..shape.nz as i32)
             .into_par_iter()
+            // One range item scans a whole z-layer; hint the interior cell
+            // count so small grids reduce serially (max is order-free, so
+            // the result is bitwise identical either way).
+            .with_elements_hint(shape.nx * shape.ny * shape.nz)
             .map(|k| {
                 let mut local_max = 0.0f64;
                 for j in 0..shape.ny as i32 {
@@ -191,16 +115,6 @@ impl<R: Real, S: Storage<R>> SpeciesState<R, S> {
         cfl / max_signal
     }
 
-    /// First non-finite interior value, if any (instability detection).
-    /// Row-slice scan with a branch-free healthy path — see
-    /// [`igr_grid::Field::find_non_finite_interior`].
-    pub fn find_non_finite(&self) -> Option<(usize, (i32, i32, i32))> {
-        self.fields
-            .iter()
-            .enumerate()
-            .find_map(|(v, f)| f.find_non_finite_interior().map(|pos| (v, pos)))
-    }
-
     /// Interior range of the volume fraction `(min, max)` — the boundedness
     /// diagnostic (`α ∈ [0, 1]` up to reconstruction overshoot).
     pub fn alpha_range(&self) -> (f64, f64) {
@@ -208,18 +122,6 @@ impl<R: Real, S: Storage<R>> SpeciesState<R, S> {
         let max = f.max_interior(|x| x.to_f64());
         let min = -f.max_interior(|x| -x.to_f64());
         (min, max)
-    }
-
-    /// Max-norm of the difference to another state over interior cells.
-    pub fn max_diff(&self, other: &SpeciesState<R, S>) -> f64 {
-        assert_eq!(self.shape, other.shape);
-        let mut m = 0.0f64;
-        for (a, b) in self.fields.iter().zip(&other.fields) {
-            for lin in self.shape.interior_indices() {
-                m = m.max((a.at_lin(lin).to_f64() - b.at_lin(lin).to_f64()).abs());
-            }
-        }
-        m
     }
 
     /// Embed a single-fluid conserved state at uniform volume fraction

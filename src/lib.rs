@@ -54,7 +54,7 @@ pub mod prelude {
     pub use igr_baseline::scheme::weno_solver;
     pub use igr_core::eos::Prim;
     pub use igr_core::solver::igr_solver;
-    pub use igr_core::{IgrConfig, State};
+    pub use igr_core::{Fields, IgrConfig, State};
     pub use igr_grid::{Axis, Domain, GridShape};
     pub use igr_prec::{f16, PrecisionMode, StoreF16, StoreF32, StoreF64};
     pub use igr_species::{

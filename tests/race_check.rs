@@ -17,7 +17,9 @@
 //!    jet runs to completion with the recorder armed, at 1 thread (serial
 //!    drain path) and 8 threads (pool path), under the Gauss–Seidel
 //!    elliptic (raw-pointer in-place writes — the kernel the checker was
-//!    built for).
+//!    built for); so does a 3-D two-gas mixture through the species solver,
+//!    under Jacobi and Gauss–Seidel (its RHS dispatch is the same
+//!    uneven-chunk helper).
 //! 2. **The checker actually fires** — an intentionally overlapped split
 //!    panics with the offending intervals, so a future race cannot pass
 //!    silently because the recorder rotted into a no-op.
@@ -30,7 +32,9 @@ use std::sync::Mutex;
 use igr::app::cases;
 use igr::core::config::EllipticKind;
 use igr::core::solver::igr_solver;
+use igr::grid::{Domain, GridShape};
 use igr::prec::StoreF64;
+use igr::species::{species_solver, MixEos, MixPrim, SpeciesConfig, SpeciesState};
 
 /// The shadow recorder routes records by thread lineage, but these tests
 /// deliberately open scopes and run whole solvers; serialize them so one
@@ -82,6 +86,67 @@ fn red_black_sweep_write_sets_are_disjoint_serial() {
 fn red_black_sweep_write_sets_are_disjoint_parallel() {
     let _guard = SERIAL.lock().unwrap();
     run_checked(8);
+}
+
+/// 5 steps of a smooth 3-D two-gas mixture (16 × 8 × 8, periodic) under
+/// each elliptic method, recorder armed and serial fallback disabled as in
+/// [`run_checked`].
+fn run_species_checked(threads: usize) {
+    let prev = rayon::serial_work_threshold();
+    rayon::set_serial_work_threshold(0);
+    let shape = GridShape::new(16, 8, 8, 3);
+    let domain = Domain::new([0.0, -0.5, -0.5], [2.0, 0.5, 0.5], shape);
+    let tau = std::f64::consts::TAU;
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(threads)
+        .build()
+        .unwrap();
+    for elliptic in [EllipticKind::Jacobi, EllipticKind::GaussSeidel] {
+        let cfg = SpeciesConfig {
+            eos: MixEos {
+                gamma1: 1.4,
+                gamma2: 1.25,
+            },
+            elliptic,
+            ..Default::default()
+        };
+        let mut q: SpeciesState<f64, StoreF64> = SpeciesState::zeros(shape);
+        q.set_prim_field(&domain, &cfg.eos, |p| {
+            let a = (0.5 + 0.4 * (tau * p[0]).sin() * (tau * p[1]).cos()).clamp(0.01, 0.99);
+            MixPrim::new(
+                [a, (1.0 - a) * 0.5],
+                [0.5 * (tau * p[2]).sin(), 0.2, 0.0],
+                1.0,
+                a,
+            )
+        });
+        let recorded_before = rayon::shadow::recorded_total();
+        pool.install(|| {
+            let mut solver = species_solver(cfg, domain, q);
+            for _ in 0..5 {
+                solver.step().expect("mixture must stay finite for 5 steps");
+            }
+        });
+        let recorded = rayon::shadow::recorded_total() - recorded_before;
+        assert!(
+            recorded > 100,
+            "{elliptic:?}: the species run recorded only {recorded} intervals — \
+             its RHS dispatch is not instrumented"
+        );
+    }
+    rayon::set_serial_work_threshold(prev);
+}
+
+#[test]
+fn species_solver_write_sets_are_disjoint_serial() {
+    let _guard = SERIAL.lock().unwrap();
+    run_species_checked(1);
+}
+
+#[test]
+fn species_solver_write_sets_are_disjoint_parallel() {
+    let _guard = SERIAL.lock().unwrap();
+    run_species_checked(8);
 }
 
 /// The checker must fire on a bad decomposition: two pieces claiming
