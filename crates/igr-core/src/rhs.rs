@@ -175,59 +175,6 @@ impl<'a, R: Real, S: Storage<R>> FluxParams<'a, R, S> {
         f
     }
 
-    /// Reference-path numerical flux through the interface between cell
-    /// `lin_c` and its successor along axis `d`: gather the 6-cell window
-    /// with indexed loads, reconstruct, and hand off to [`Self::lf_flux`].
-    #[inline(always)]
-    fn interface_flux(&self, d: usize, lin_c: usize) -> Cons<R> {
-        let st = self.strides[d];
-        let base = lin_c - 2 * st; // cell c-2; in-bounds by ghost-width construction
-
-        // Load the 6-cell conservative windows (Algorithm 1's q <- -2..3).
-        let mut w = [[R::ZERO; 6]; NV];
-        for (o, wo) in (0..6).zip(0..6) {
-            let lin = base + o * st;
-            let qq = self.q.cons_at_lin(lin);
-            for v in 0..NV {
-                w[v][wo] = qq[v];
-            }
-        }
-
-        // Reconstruct left/right conservative states at the interface.
-        let mut ql = [R::ZERO; NV];
-        let mut qr = [R::ZERO; NV];
-        for v in 0..NV {
-            let (l, r) = match self.order {
-                ReconOrder::First => recon1(&w[v]),
-                ReconOrder::Third => recon3(&w[v]),
-                ReconOrder::Fifth => recon5(&w[v]),
-            };
-            ql[v] = l;
-            qr[v] = r;
-        }
-
-        // Entropic pressure at the interface: same reconstruction (the
-        // Σ(-2:3) lines of Algorithm 1).
-        let (mut sl, mut sr) = (R::ZERO, R::ZERO);
-        let mut sw = [R::ZERO; 6];
-        if self.use_sigma {
-            for (o, swo) in (0..6).zip(0..6) {
-                sw[swo] = self.sigma.at_lin(base + o * st);
-            }
-            let (l, r) = match self.order {
-                ReconOrder::First => recon1(&sw),
-                ReconOrder::Third => recon3(&sw),
-                ReconOrder::Fifth => recon5(&sw),
-            };
-            sl = l;
-            sr = r;
-        }
-
-        let donor_l: Cons<R> = std::array::from_fn(|v| w[v][2]);
-        let donor_r: Cons<R> = std::array::from_fn(|v| w[v][3]);
-        self.lf_flux(d, lin_c, ql, qr, sl, sr, &donor_l, &donor_r, sw[2], sw[3])
-    }
-
     /// Viscous contribution at the interface: 2nd-order central velocity
     /// gradients (eq. 5's stress tensor), subtracted from the momentum and
     /// energy fluxes.
@@ -281,6 +228,63 @@ impl<'a, R: Real, S: Storage<R>> FluxParams<'a, R, S> {
             f[1 + a] -= tau_ad;
             f[4] -= u_avg[a] * tau_ad;
         }
+    }
+}
+
+impl<R: Real, S: Storage<R>> FaceFlux for FluxParams<'_, R, S> {
+    type Flux = Cons<R>;
+
+    /// Reference-path numerical flux through the interface between cell
+    /// `lin_c` and its successor along axis `d`: gather the 6-cell window
+    /// with indexed loads, reconstruct, and hand off to `lf_flux`.
+    #[inline(always)]
+    fn face_flux(&self, d: usize, lin_c: usize) -> Cons<R> {
+        let st = self.strides[d];
+        let base = lin_c - 2 * st; // cell c-2; in-bounds by ghost-width construction
+
+        // Load the 6-cell conservative windows (Algorithm 1's q <- -2..3).
+        let mut w = [[R::ZERO; 6]; NV];
+        for (o, wo) in (0..6).zip(0..6) {
+            let lin = base + o * st;
+            let qq = self.q.cons_at_lin(lin);
+            for v in 0..NV {
+                w[v][wo] = qq[v];
+            }
+        }
+
+        // Reconstruct left/right conservative states at the interface.
+        let mut ql = [R::ZERO; NV];
+        let mut qr = [R::ZERO; NV];
+        for v in 0..NV {
+            let (l, r) = match self.order {
+                ReconOrder::First => recon1(&w[v]),
+                ReconOrder::Third => recon3(&w[v]),
+                ReconOrder::Fifth => recon5(&w[v]),
+            };
+            ql[v] = l;
+            qr[v] = r;
+        }
+
+        // Entropic pressure at the interface: same reconstruction (the
+        // Σ(-2:3) lines of Algorithm 1).
+        let (mut sl, mut sr) = (R::ZERO, R::ZERO);
+        let mut sw = [R::ZERO; 6];
+        if self.use_sigma {
+            for (o, swo) in (0..6).zip(0..6) {
+                sw[swo] = self.sigma.at_lin(base + o * st);
+            }
+            let (l, r) = match self.order {
+                ReconOrder::First => recon1(&sw),
+                ReconOrder::Third => recon3(&sw),
+                ReconOrder::Fifth => recon5(&sw),
+            };
+            sl = l;
+            sr = r;
+        }
+
+        let donor_l: Cons<R> = std::array::from_fn(|v| w[v][2]);
+        let donor_r: Cons<R> = std::array::from_fn(|v| w[v][3]);
+        self.lf_flux(d, lin_c, ql, qr, sl, sr, &donor_l, &donor_r, sw[2], sw[3])
     }
 }
 
@@ -438,45 +442,57 @@ pub fn par_over_uneven_chunks<R, S, const NF: usize, Q>(
     rayon::shadow::scope_end();
 }
 
+/// The interface flux a reference sweep differences, per equation set.
+///
+/// A trait rather than a closure so the per-interface kernel is inlined into
+/// the row walks below (the compiler declines to inline a closure that big).
+pub trait FaceFlux {
+    /// Flux record of one interface.
+    type Flux;
+    /// Flux through the face between cell `lin` and its successor along
+    /// axis `d`.
+    fn face_flux(&self, d: usize, lin: usize) -> Self::Flux;
+}
+
 /// The x-row skeleton of the reference sweeps: for every x-row of
-/// `j_range × k_range`, call `apply(lin, f_lo, f_hi)` on each interior cell
-/// with the fluxes through its low and high faces, where `flux(lin)` is the
-/// flux through the face between cells `lin` and `lin + 1`. Each face flux
-/// is computed once; the previous one is carried along the row.
-pub fn walk_x_rows<F>(
+/// `j_range × k_range`, compute the row's `nx + 1` face fluxes once and call
+/// `apply(row, lo, hi)`, where `row` is the linear index of the row's first
+/// cell and `lo[i]`/`hi[i]` are the fluxes through cell `i`'s low and high
+/// x-faces.
+#[inline(always)]
+pub fn walk_x_rows<P: FaceFlux>(
+    p: &P,
     shape: GridShape,
     j_range: Range<i32>,
     k_range: Range<i32>,
-    flux: impl Fn(usize) -> F,
-    mut apply: impl FnMut(usize, &F, &F),
+    mut apply: impl FnMut(usize, &[P::Flux], &[P::Flux]),
 ) {
+    let nx = shape.nx;
+    let mut faces = Vec::with_capacity(nx + 1);
     for k in k_range {
         for j in j_range.clone() {
-            let base = shape.idx(0, j, k);
-            let mut f_prev = flux(base - 1); // interface -1/2
-            for lin in base..base + shape.nx {
-                let f_cur = flux(lin);
-                apply(lin, &f_prev, &f_cur);
-                f_prev = f_cur;
-            }
+            let row = shape.idx(0, j, k);
+            faces.clear();
+            faces.extend((row - 1..row + nx).map(|lin| p.face_flux(0, lin)));
+            apply(row, &faces[..nx], &faces[1..]);
         }
     }
 }
 
 /// The y/z skeleton of the reference sweeps: one row of interface fluxes
-/// along `axis` at a time, buffered, differenced against the previous row.
-/// `flux(lin)` is the flux through the face between `lin` and its successor
-/// along `axis`; `apply(lin, f_lo, f_hi)` gets each interior cell's two
-/// faces. Y walks `k` outside `j`, Z walks `j` outside `k`.
-pub fn walk_transverse_rows<F>(
+/// along `axis` at a time, buffered, differenced against the previous row
+/// through `apply(row, lo, hi)` as in [`walk_x_rows`]. Y walks `k` outside
+/// `j`, Z walks `j` outside `k`.
+#[inline(always)]
+pub fn walk_transverse_rows<P: FaceFlux>(
+    p: &P,
     shape: GridShape,
     axis: Axis,
     j_range: Range<i32>,
     k_range: Range<i32>,
-    flux: impl Fn(usize) -> F,
-    mut apply: impl FnMut(usize, &F, &F),
+    mut apply: impl FnMut(usize, &[P::Flux], &[P::Flux]),
 ) {
-    let nx = shape.nx;
+    let (d, nx) = (axis.dim(), shape.nx);
     let (outer, inner) = match axis {
         Axis::Y => (k_range, j_range),
         Axis::Z => (j_range, k_range),
@@ -490,14 +506,12 @@ pub fn walk_transverse_rows<F>(
     for t in outer {
         let row0 = row_start(t, inner.start - 1);
         lo.clear();
-        lo.extend((row0..row0 + nx).map(&flux));
+        lo.extend((row0..row0 + nx).map(|lin| p.face_flux(d, lin)));
         for c in inner.clone() {
             let row = row_start(t, c);
             hi.clear();
-            hi.extend((row..row + nx).map(&flux));
-            for (i, (l, h)) in lo.iter().zip(&hi).enumerate() {
-                apply(row + i, l, h);
-            }
+            hi.extend((row..row + nx).map(|lin| p.face_flux(d, lin)));
+            apply(row, &lo, &hi);
             std::mem::swap(&mut lo, &mut hi);
         }
     }
@@ -692,23 +706,24 @@ fn process_block<R: Real, S: Storage<R>>(
 
 // --- reference sweeps ----------------------------------------------------
 
-/// `chunks[v][lin - off] += (f_lo[v] - f_hi[v]) * inv_dx`: one cell's flux
-/// difference on the reference path.
-#[inline(always)]
+/// `chunks[v][loc + i] += (lo[i][v] - hi[i][v]) * inv_dx` along one cell
+/// row: the reference path's flux difference.
 fn apply_ref<R: Real, S: Storage<R>>(
     chunks: &mut [&mut [S::Packed]; NV],
     loc: usize,
-    f_lo: &Cons<R>,
-    f_hi: &Cons<R>,
+    lo: &[Cons<R>],
+    hi: &[Cons<R>],
     inv_dx: R,
 ) {
-    for v in 0..NV {
-        let acc = S::unpack(chunks[v][loc]) + (f_lo[v] - f_hi[v]) * inv_dx;
-        chunks[v][loc] = S::pack(acc);
+    for (i, (f_lo, f_hi)) in lo.iter().zip(hi).enumerate() {
+        for v in 0..NV {
+            let acc = S::unpack(chunks[v][loc + i]) + (f_lo[v] - f_hi[v]) * inv_dx;
+            chunks[v][loc + i] = S::pack(acc);
+        }
     }
 }
 
-/// X sweep: walk each x-row keeping the previous interface flux in registers.
+/// X sweep: one row of x-face fluxes at a time, each face computed once.
 fn sweep_x_ref<R: Real, S: Storage<R>>(
     p: &FluxParams<'_, R, S>,
     chunks: &mut [&mut [S::Packed]; NV],
@@ -717,13 +732,9 @@ fn sweep_x_ref<R: Real, S: Storage<R>>(
     k_range: Range<i32>,
 ) {
     let inv_dx = p.inv_dx[0];
-    walk_x_rows(
-        p.shape,
-        j_range,
-        k_range,
-        |lin| p.interface_flux(0, lin),
-        |lin, lo, hi| apply_ref::<R, S>(chunks, lin - off, lo, hi, inv_dx),
-    );
+    walk_x_rows(p, p.shape, j_range, k_range, |row, lo, hi| {
+        apply_ref::<R, S>(chunks, row - off, lo, hi, inv_dx)
+    });
 }
 
 /// Y/Z sweep: compute one row of interface fluxes at a time and difference
@@ -736,16 +747,10 @@ fn sweep_yz_ref<R: Real, S: Storage<R>>(
     j_range: Range<i32>,
     k_range: Range<i32>,
 ) {
-    let d = axis.dim();
-    let inv_dx = p.inv_dx[d];
-    walk_transverse_rows(
-        p.shape,
-        axis,
-        j_range,
-        k_range,
-        |lin| p.interface_flux(d, lin),
-        |lin, lo, hi| apply_ref::<R, S>(chunks, lin - off, lo, hi, inv_dx),
-    );
+    let inv_dx = p.inv_dx[axis.dim()];
+    walk_transverse_rows(p, p.shape, axis, j_range, k_range, |row, lo, hi| {
+        apply_ref::<R, S>(chunks, row - off, lo, hi, inv_dx)
+    });
 }
 
 // --- fused (row-buffered SoA) sweeps -------------------------------------

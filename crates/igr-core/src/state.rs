@@ -37,20 +37,23 @@ pub trait Fields<R: Real, S: Storage<R>, const NF: usize> {
     /// Stored tuple at a (possibly ghost) cell.
     #[inline(always)]
     fn cons_at(&self, i: i32, j: i32, k: i32) -> [R; NF] {
-        self.fields().map(|f| f.at(i, j, k))
+        let f = self.fields();
+        std::array::from_fn(|v| f[v].at(i, j, k))
     }
 
     /// Stored tuple at a linear index.
     #[inline(always)]
     fn cons_at_lin(&self, lin: usize) -> [R; NF] {
-        self.fields().map(|f| f.at_lin(lin))
+        let f = self.fields();
+        std::array::from_fn(|v| f[v].at_lin(lin))
     }
 
     /// Write a stored tuple at a cell.
     #[inline(always)]
     fn set_cons(&mut self, i: i32, j: i32, k: i32, q: [R; NF]) {
-        for (f, x) in self.fields_mut().into_iter().zip(q) {
-            f.set(i, j, k, x);
+        let f = self.fields_mut();
+        for v in 0..NF {
+            f[v].set(i, j, k, q[v]);
         }
     }
 

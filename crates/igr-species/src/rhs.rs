@@ -21,7 +21,7 @@ use crate::eos::{
 use crate::state::SpeciesState;
 use igr_core::config::ReconOrder;
 use igr_core::recon::recon;
-use igr_core::rhs::{par_over_slabs, walk_transverse_rows, walk_x_rows};
+use igr_core::rhs::{par_over_slabs, walk_transverse_rows, walk_x_rows, FaceFlux};
 use igr_core::Fields;
 use igr_grid::{Axis, Domain, Field, GridShape};
 use igr_prec::{Real, Storage};
@@ -114,10 +114,62 @@ impl<'a, R: Real, S: Storage<R>> FluxParams2<'a, R, S> {
         ]
     }
 
+    /// Viscous contribution at the interface, identical to the single-fluid
+    /// kernel with the mixture density in the velocities.
+    #[inline(always)]
+    fn subtract_viscous_flux(
+        &self,
+        d: usize,
+        lin_c: usize,
+        prl: &MixPrim<R>,
+        prr: &MixPrim<R>,
+        f: &mut Cons2<R>,
+    ) {
+        let st = self.strides[d];
+        let lin_p = lin_c + st;
+        let u_c = self.vel_at(lin_c);
+        let u_p = self.vel_at(lin_p);
+
+        let mut grad = [[R::ZERO; 3]; 3];
+        for a in 0..3 {
+            grad[a][d] = (u_p[a] - u_c[a]) * self.inv_dx[d];
+        }
+        for (e, axis) in Axis::ALL.iter().enumerate() {
+            if e == d || !self.shape.is_active(*axis) {
+                continue;
+            }
+            let se = self.strides[e];
+            let up_c = self.vel_at(lin_c + se);
+            let dn_c = self.vel_at(lin_c - se);
+            let up_p = self.vel_at(lin_p + se);
+            let dn_p = self.vel_at(lin_p - se);
+            for a in 0..3 {
+                let g_c = (up_c[a] - dn_c[a]) * self.inv2dx[e];
+                let g_p = (up_p[a] - dn_p[a]) * self.inv2dx[e];
+                grad[a][e] = R::HALF * (g_c + g_p);
+            }
+        }
+
+        let div = grad[0][0] + grad[1][1] + grad[2][2];
+        let bulk = (self.zeta - R::TWO * self.mu / R::from_f64(3.0)) * div;
+        for a in 0..3 {
+            let mut tau_ad = self.mu * (grad[a][d] + grad[d][a]);
+            if a == d {
+                tau_ad += bulk;
+            }
+            f[I_MX + a] -= tau_ad;
+            f[I_E] -= R::HALF * (prl.vel[a] + prr.vel[a]) * tau_ad;
+        }
+    }
+}
+
+impl<R: Real, S: Storage<R>> FaceFlux for FluxParams2<'_, R, S> {
+    type Flux = IfaceFlux<R>;
+
     /// Numerical flux through the interface between cell `lin_c` and its
     /// successor along axis `d`.
     #[inline(always)]
-    fn interface_flux(&self, d: usize, lin_c: usize) -> IfaceFlux<R> {
+    fn face_flux(&self, d: usize, lin_c: usize) -> IfaceFlux<R> {
         let st = self.strides[d];
         let base = lin_c - 2 * st;
 
@@ -190,54 +242,6 @@ impl<'a, R: Real, S: Storage<R>> FluxParams2<'a, R, S> {
         }
         out
     }
-
-    /// Viscous contribution at the interface, identical to the single-fluid
-    /// kernel with the mixture density in the velocities.
-    #[inline(always)]
-    fn subtract_viscous_flux(
-        &self,
-        d: usize,
-        lin_c: usize,
-        prl: &MixPrim<R>,
-        prr: &MixPrim<R>,
-        f: &mut Cons2<R>,
-    ) {
-        let st = self.strides[d];
-        let lin_p = lin_c + st;
-        let u_c = self.vel_at(lin_c);
-        let u_p = self.vel_at(lin_p);
-
-        let mut grad = [[R::ZERO; 3]; 3];
-        for a in 0..3 {
-            grad[a][d] = (u_p[a] - u_c[a]) * self.inv_dx[d];
-        }
-        for (e, axis) in Axis::ALL.iter().enumerate() {
-            if e == d || !self.shape.is_active(*axis) {
-                continue;
-            }
-            let se = self.strides[e];
-            let up_c = self.vel_at(lin_c + se);
-            let dn_c = self.vel_at(lin_c - se);
-            let up_p = self.vel_at(lin_p + se);
-            let dn_p = self.vel_at(lin_p - se);
-            for a in 0..3 {
-                let g_c = (up_c[a] - dn_c[a]) * self.inv2dx[e];
-                let g_p = (up_p[a] - dn_p[a]) * self.inv2dx[e];
-                grad[a][e] = R::HALF * (g_c + g_p);
-            }
-        }
-
-        let div = grad[0][0] + grad[1][1] + grad[2][2];
-        let bulk = (self.zeta - R::TWO * self.mu / R::from_f64(3.0)) * div;
-        for a in 0..3 {
-            let mut tau_ad = self.mu * (grad[a][d] + grad[d][a]);
-            if a == d {
-                tau_ad += bulk;
-            }
-            f[I_MX + a] -= tau_ad;
-            f[I_E] -= R::HALF * (prl.vel[a] + prr.vel[a]) * tau_ad;
-        }
-    }
 }
 
 /// Accumulate `−∇·F` (plus the non-conservative `α ∇·u` term) into `rhs` for
@@ -270,19 +274,21 @@ fn sweep<R: Real, S: Storage<R>>(
     let d = axis.dim();
     let inv_dx = p.inv_dx[d];
     let alpha = p.q.field(I_A);
-    let flux = |lin| p.interface_flux(d, lin);
-    let apply = |lin: usize, lo: &IfaceFlux<R>, hi: &IfaceFlux<R>| {
-        let loc = lin - off;
-        for v in 0..NS {
-            let acc = S::unpack(chunks[v][loc]) + (lo.f[v] - hi.f[v]) * inv_dx;
-            chunks[v][loc] = S::pack(acc);
+    let apply = |row: usize, lo: &[IfaceFlux<R>], hi: &[IfaceFlux<R>]| {
+        for (i, (lo, hi)) in lo.iter().zip(hi).enumerate() {
+            let loc = row + i - off;
+            for v in 0..NS {
+                let acc = S::unpack(chunks[v][loc]) + (lo.f[v] - hi.f[v]) * inv_dx;
+                chunks[v][loc] = S::pack(acc);
+            }
+            let alpha_c = alpha.at_lin(row + i);
+            let acc = S::unpack(chunks[I_A][loc]) + alpha_c * (hi.ustar - lo.ustar) * inv_dx;
+            chunks[I_A][loc] = S::pack(acc);
         }
-        let acc = S::unpack(chunks[I_A][loc]) + alpha.at_lin(lin) * (hi.ustar - lo.ustar) * inv_dx;
-        chunks[I_A][loc] = S::pack(acc);
     };
     match axis {
-        Axis::X => walk_x_rows(p.shape, j_range, k_range, flux, apply),
-        _ => walk_transverse_rows(p.shape, axis, j_range, k_range, flux, apply),
+        Axis::X => walk_x_rows(p, p.shape, j_range, k_range, apply),
+        _ => walk_transverse_rows(p, p.shape, axis, j_range, k_range, apply),
     }
 }
 

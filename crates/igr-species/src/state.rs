@@ -23,7 +23,7 @@ impl<R: Real, S: Storage<R>> Fields<R, S, NS> for SpeciesState<R, S> {
 
     #[inline(always)]
     fn fields(&self) -> [&Field<R, S>; NS] {
-        self.fields.each_ref()
+        std::array::from_fn(|v| &self.fields[v])
     }
 
     #[inline(always)]
