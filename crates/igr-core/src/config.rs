@@ -143,6 +143,8 @@ impl IgrConfig {
         self.mu != 0.0 || self.zeta != 0.0
     }
 
+    // Negated comparisons on purpose: a NaN must fail each check.
+    #[allow(clippy::neg_cmp_op_on_partial_ord)]
     pub fn validate(&self) -> Result<(), String> {
         if !(self.gamma > 1.0) {
             return Err(format!("gamma must exceed 1, got {}", self.gamma));
@@ -153,6 +155,7 @@ impl IgrConfig {
 
 /// The march-parameter checks every IGR configuration shares. Each test is
 /// the negation of the valid range, so a NaN fails it.
+#[allow(clippy::neg_cmp_op_on_partial_ord)]
 pub fn validate_march(
     cfl: f64,
     alpha_factor: f64,

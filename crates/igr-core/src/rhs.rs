@@ -35,7 +35,6 @@ use crate::CONVERT_BLOCK;
 use igr_grid::{Axis, Domain, Field, GridShape};
 use igr_prec::{Real, Storage};
 use rayon::prelude::*;
-use rayon::ParallelIterator;
 use std::ops::Range;
 
 /// Everything the flux kernel needs, borrowed immutably and shared across

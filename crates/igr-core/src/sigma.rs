@@ -671,12 +671,12 @@ impl<R: Real, S: Storage<R>> EllipticWorkspace<R, S> {
     /// Zeroed, cold workspace on `shape` for the given relaxation method.
     pub fn new(shape: GridShape, elliptic: EllipticKind) -> Self {
         EllipticWorkspace {
-            sigma: Field::zeros(shape),
-            source: Field::zeros(shape),
             sigma_tmp: match elliptic {
                 EllipticKind::Jacobi => Some(Field::zeros(shape)),
                 EllipticKind::GaussSeidel => None,
             },
+            sigma: Field::zeros(shape),
+            source: Field::zeros(shape),
             warm: false,
         }
     }

@@ -183,13 +183,13 @@ impl<R: Real, S: Storage<R>> State<R, S> {
         }
     }
 
-    /// The grid shape ([`Fields::shape`], callable without the trait).
+    /// [`Fields::shape`], callable without the trait.
     #[inline]
     pub fn shape(&self) -> GridShape {
-        self.shape
+        Fields::shape(self)
     }
 
-    /// The five fields ([`Fields::fields`], callable without the trait).
+    /// [`Fields::fields`], callable without the trait.
     #[inline(always)]
     pub fn fields(&self) -> [&Field<R, S>; NV] {
         Fields::fields(self)
