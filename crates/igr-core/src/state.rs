@@ -37,8 +37,7 @@ pub trait Fields<R: Real, S: Storage<R>, const NF: usize> {
     /// Stored tuple at a (possibly ghost) cell.
     #[inline(always)]
     fn cons_at(&self, i: i32, j: i32, k: i32) -> [R; NF] {
-        let f = self.fields();
-        std::array::from_fn(|v| f[v].at(i, j, k))
+        self.cons_at_lin(self.shape().idx(i, j, k))
     }
 
     /// Stored tuple at a linear index.
@@ -51,9 +50,10 @@ pub trait Fields<R: Real, S: Storage<R>, const NF: usize> {
     /// Write a stored tuple at a cell.
     #[inline(always)]
     fn set_cons(&mut self, i: i32, j: i32, k: i32, q: [R; NF]) {
+        let lin = self.shape().idx(i, j, k);
         let f = self.fields_mut();
         for v in 0..NF {
-            f[v].set(i, j, k, q[v]);
+            f[v].set_lin(lin, q[v]);
         }
     }
 
