@@ -13,7 +13,9 @@ use rayon::prelude::*;
 ///
 /// Implementors supply the shape and the field views; everything that does
 /// not depend on the physics (tuple access, zeroing, the RK updates,
-/// integrals, health scans) is provided here once.
+/// integrals, health scans) is provided here once. Every field must live on
+/// [`Fields::shape`]: tuple access computes a cell's linear index once for
+/// all of them.
 pub trait Fields<R: Real, S: Storage<R>, const NF: usize> {
     /// The grid shape every field lives on.
     fn shape(&self) -> GridShape;

@@ -18,8 +18,7 @@
 use igr::app::cases;
 use igr::core::config::{EllipticKind, KernelPath};
 use igr::core::solver::igr_solver;
-use igr::core::Fields;
-use igr::core::State;
+use igr::core::{Fields, State};
 use igr::grid::{Domain, Field, GridShape};
 use igr::prec::{Real, Storage, StoreF16, StoreF32, StoreF64};
 use igr::species::{species_solver, MixEos, MixPrim, SpeciesConfig, SpeciesState};
