@@ -172,13 +172,20 @@ fn main() {
 
     section("Ablation 4: warm-start sweeps x relaxation -> Sod L1 (the '<= 5 sweeps' claim)");
     let mut t = TextTable::new(vec!["sweeps", "Jacobi L1", "Gauss-Seidel L1"]);
+    let mut jacobi = Vec::new();
     for sweeps in [1usize, 2, 5, 10] {
+        let l1 = sod_l1(sweeps, EllipticKind::Jacobi);
+        jacobi.push(l1);
         t.row(vec![
             sweeps.to_string(),
-            format!("{:.4e}", sod_l1(sweeps, EllipticKind::Jacobi)),
+            format!("{l1:.4e}"),
             format!("{:.4e}", sod_l1(sweeps, EllipticKind::GaussSeidel)),
         ]);
     }
     println!("{}", t.render());
-    println!("Accuracy saturates by ~5 sweeps — more sweeps buy nothing (paper §5.2).");
+    println!(
+        "1-D Sod: 5 -> 10 Jacobi sweeps changes L1 by {:.2} %. This is 1-D only: on the 3-D \
+         jet the default 5 warm-started Jacobi sweeps leave Sigma 4-7 % (L1) from converged.",
+        100.0 * (jacobi[3] - jacobi[2]).abs() / jacobi[2]
+    );
 }

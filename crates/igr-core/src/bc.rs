@@ -294,6 +294,10 @@ fn fill_face<R: Real, S: Storage<R>>(
     side: usize,
     cache_slot: Option<&mut Option<Vec<Prim<f64>>>>,
 ) {
+    if let Some(kind) = bc.ghost_copy() {
+        copy_face(state.fields_mut(), axis, side, kind, 1 + axis.dim());
+        return;
+    }
     let shape = state.shape();
     let n = shape.extent(axis) as i32;
     let ng = shape.ghosts(axis) as i32;
@@ -330,43 +334,126 @@ fn fill_face<R: Real, S: Storage<R>>(
         }
     }
 
-    // Ghost index and its source interior index per BC kind, for layer
-    // l = 1..=ng measured outward from the boundary.
+    // Dirichlet faces: one state per ghost cell, layer l = 1..=ng measured
+    // outward from the boundary.
     for l in 1..=ng {
         let ghost = if side == 0 { -l } else { n - 1 + l };
         for (b, a) in cross_section(shape, axis) {
             let (i, j, k) = assemble(axis, ghost, a, b);
-            match bc {
-                Bc::Periodic => {
-                    let src = if side == 0 { n - l } else { l - 1 };
-                    let (si, sj, sk) = assemble(axis, src, a, b);
-                    let q = state.cons_at(si, sj, sk);
-                    state.set_cons(i, j, k, q);
-                }
-                Bc::Outflow => {
-                    let src = if side == 0 { 0 } else { n - 1 };
-                    let (si, sj, sk) = assemble(axis, src, a, b);
-                    let q = state.cons_at(si, sj, sk);
-                    state.set_cons(i, j, k, q);
-                }
-                Bc::Reflective => {
-                    let src = if side == 0 { l - 1 } else { n - l };
-                    let (si, sj, sk) = assemble(axis, src, a, b);
-                    let mut q = state.cons_at(si, sj, sk);
-                    q[1 + axis.dim()] = -q[1 + axis.dim()];
-                    state.set_cons(i, j, k, q);
-                }
-                Bc::Inflow(pr) => {
-                    let prr: Prim<R> =
-                        Prim::from_f64(pr.rho, [pr.vel[0], pr.vel[1], pr.vel[2]], pr.p);
-                    state.set_cons(i, j, k, prr.to_cons(g));
-                }
-                Bc::InflowProfile(profile) => {
-                    let pos = domain.cell_center(i, j, k);
-                    let pr = profile.prim(pos, t);
-                    let prr: Prim<R> =
-                        Prim::from_f64(pr.rho, [pr.vel[0], pr.vel[1], pr.vel[2]], pr.p);
-                    state.set_cons(i, j, k, prr.to_cons(g));
+            let pr = match bc {
+                Bc::InflowProfile(profile) => profile.prim(domain.cell_center(i, j, k), t),
+                Bc::Inflow(pr) => *pr,
+                Bc::Periodic | Bc::Outflow | Bc::Reflective => unreachable!("copied above"),
+            };
+            let prr: Prim<R> = Prim::from_f64(pr.rho, [pr.vel[0], pr.vel[1], pr.vel[2]], pr.p);
+            state.set_cons(i, j, k, prr.to_cons(g));
+        }
+    }
+}
+
+/// How a copy-type face fills its ghost layers: every ghost cell takes the
+/// stored word of one cell on its own grid line (the line along the face
+/// normal), so no value is widened to compute precision and narrowed back.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum GhostCopy {
+    /// Periodic: ghost layer `l` beyond one face copies the `l`-th interior
+    /// layer inside the opposite face.
+    Wrap,
+    /// Zero-gradient outflow: every ghost layer copies the boundary layer.
+    Extend,
+    /// Slip wall: ghost layer `l` copies its mirror image, interior layer
+    /// `l` inside the same face.
+    Mirror,
+}
+
+impl GhostCopy {
+    /// Axis coordinate whose word ghost layer `l` (`1..=ng`, counted
+    /// outward) on `side` copies, on an axis of `n` interior cells.
+    #[inline]
+    fn source(self, side: usize, n: i32, l: i32) -> i32 {
+        match (self, side) {
+            (GhostCopy::Wrap, 0) => n - l,
+            (GhostCopy::Wrap, _) => l - 1,
+            (GhostCopy::Extend, 0) => 0,
+            (GhostCopy::Extend, _) => n - 1,
+            (GhostCopy::Mirror, 0) => l - 1,
+            (GhostCopy::Mirror, _) => n - l,
+        }
+    }
+}
+
+impl Bc {
+    /// The word copy that fills this face, or `None` for the inflow faces,
+    /// which impose a state per ghost cell.
+    fn ghost_copy(&self) -> Option<GhostCopy> {
+        match self {
+            Bc::Periodic => Some(GhostCopy::Wrap),
+            Bc::Outflow => Some(GhostCopy::Extend),
+            Bc::Reflective => Some(GhostCopy::Mirror),
+            Bc::Inflow(_) | Bc::InflowProfile(_) => None,
+        }
+    }
+}
+
+/// Fill the ghost layers beyond `side` of `axis` in every field of a stored
+/// tuple by copying stored words, over the full stored cross-section. A
+/// [`GhostCopy::Mirror`] face then negates field `normal`, the momentum
+/// normal to the face.
+pub fn copy_face<R: Real, S: Storage<R>, const NF: usize>(
+    fields: [&mut Field<R, S>; NF],
+    axis: Axis,
+    side: usize,
+    kind: GhostCopy,
+    normal: usize,
+) {
+    for (v, f) in fields.into_iter().enumerate() {
+        copy_ghost_layers(
+            f,
+            axis,
+            side,
+            kind,
+            kind == GhostCopy::Mirror && v == normal,
+        );
+    }
+}
+
+/// Fill the ghost layers beyond `side` of `axis` over the full stored
+/// cross-section (transverse ghosts included, so corners follow the
+/// x → y → z fill order) by copying stored words. With `negate`, each
+/// copied value changes sign.
+///
+/// A run of `stride(axis)` contiguous cells shares one coordinate along
+/// `axis`: a whole z-plane for z, one x-row for y, a single cell for x. Each
+/// run is one `copy_within`, and each x-row gets all of its ghost layers in
+/// one visit. Layers are written outward in order on every grid line, so a
+/// source that is itself a ghost (an axis shorter than the ghost width)
+/// reads what the per-cell fill would have read.
+fn copy_ghost_layers<R: Real, S: Storage<R>>(
+    field: &mut Field<R, S>,
+    axis: Axis,
+    side: usize,
+    kind: GhostCopy,
+    negate: bool,
+) {
+    let shape = field.shape();
+    let n = shape.extent(axis) as i32;
+    let ng = shape.ghosts(axis) as i32;
+    let run = shape.stride(axis);
+    let block = run * shape.total(axis);
+    let data = field.packed_mut();
+    for base in (0..data.len()).step_by(block) {
+        for l in 1..=ng {
+            let ghost = if side == 0 { -l } else { n - 1 + l };
+            let dst = base + (ghost + ng) as usize * run;
+            let src = base + (kind.source(side, n, l) + ng) as usize * run;
+            if run == 1 {
+                data[dst] = data[src];
+            } else {
+                data.copy_within(src..src + run, dst);
+            }
+            if negate {
+                for p in &mut data[dst..dst + run] {
+                    *p = S::pack(-S::unpack(*p));
                 }
             }
         }
@@ -398,29 +485,15 @@ pub fn fill_scalar_ghosts_axis<R: Real, S: Storage<R>>(
     axis: Axis,
     mask: &FaceMask,
 ) {
-    let shape = field.shape();
-    let n = shape.extent(axis) as i32;
-    let ng = shape.ghosts(axis) as i32;
     for side in 0..2 {
         if !mask[axis.dim()][side] {
             continue;
         }
-        let periodic = matches!(bcs.face(axis, side), Bc::Periodic);
-        for l in 1..=ng {
-            let ghost = if side == 0 { -l } else { n - 1 + l };
-            let src = match (periodic, side) {
-                (true, 0) => n - l,
-                (true, _) => l - 1,
-                (false, 0) => 0,
-                (false, _) => n - 1,
-            };
-            for (b, a) in cross_section(shape, axis) {
-                let (i, j, k) = assemble(axis, ghost, a, b);
-                let (si, sj, sk) = assemble(axis, src, a, b);
-                let v = field.at(si, sj, sk);
-                field.set(i, j, k, v);
-            }
-        }
+        let kind = match bcs.face(axis, side) {
+            Bc::Periodic => GhostCopy::Wrap,
+            _ => GhostCopy::Extend,
+        };
+        copy_ghost_layers(field, axis, side, kind, false);
     }
 }
 
@@ -449,10 +522,118 @@ fn assemble(axis: Axis, c: i32, a: i32, b: i32) -> (i32, i32, i32) {
     }
 }
 
+/// The per-cell fills the word copies replaced: every ghost cell is read
+/// and written through `cons_at`/`set_cons` (or `at`/`set`) in compute
+/// precision. Kept as the reference the packed fills must match bit for bit.
+#[cfg(test)]
+mod oracle {
+    use super::*;
+
+    pub fn fill_ghosts<R: Real, S: Storage<R>>(
+        state: &mut State<R, S>,
+        domain: &Domain,
+        bcs: &BcSet,
+        gamma: f64,
+        t: f64,
+        mask: &FaceMask,
+    ) {
+        for axis in Axis::ALL {
+            if state.shape().is_active(axis) {
+                fill_ghosts_axis(state, domain, bcs, gamma, t, axis, mask);
+            }
+        }
+    }
+
+    pub fn fill_ghosts_axis<R: Real, S: Storage<R>>(
+        state: &mut State<R, S>,
+        domain: &Domain,
+        bcs: &BcSet,
+        gamma: f64,
+        t: f64,
+        axis: Axis,
+        mask: &FaceMask,
+    ) {
+        let shape = state.shape();
+        let n = shape.extent(axis) as i32;
+        let ng = shape.ghosts(axis) as i32;
+        let g = R::from_f64(gamma);
+        for side in 0..2 {
+            if !mask[axis.dim()][side] {
+                continue;
+            }
+            for l in 1..=ng {
+                let ghost = if side == 0 { -l } else { n - 1 + l };
+                for (b, a) in cross_section(shape, axis) {
+                    let (i, j, k) = assemble(axis, ghost, a, b);
+                    let from = |src: i32| assemble(axis, src, a, b);
+                    let q = match bcs.face(axis, side) {
+                        Bc::Periodic => {
+                            let (si, sj, sk) = from(if side == 0 { n - l } else { l - 1 });
+                            state.cons_at(si, sj, sk)
+                        }
+                        Bc::Outflow => {
+                            let (si, sj, sk) = from(if side == 0 { 0 } else { n - 1 });
+                            state.cons_at(si, sj, sk)
+                        }
+                        Bc::Reflective => {
+                            let (si, sj, sk) = from(if side == 0 { l - 1 } else { n - l });
+                            let mut q = state.cons_at(si, sj, sk);
+                            q[1 + axis.dim()] = -q[1 + axis.dim()];
+                            q
+                        }
+                        Bc::Inflow(pr) => {
+                            let prr: Prim<R> = Prim::from_f64(pr.rho, pr.vel, pr.p);
+                            prr.to_cons(g)
+                        }
+                        Bc::InflowProfile(profile) => {
+                            let pr = profile.prim(domain.cell_center(i, j, k), t);
+                            let prr: Prim<R> = Prim::from_f64(pr.rho, pr.vel, pr.p);
+                            prr.to_cons(g)
+                        }
+                    };
+                    state.set_cons(i, j, k, q);
+                }
+            }
+        }
+    }
+
+    pub fn fill_scalar_ghosts_axis<R: Real, S: Storage<R>>(
+        field: &mut Field<R, S>,
+        bcs: &BcSet,
+        axis: Axis,
+        mask: &FaceMask,
+    ) {
+        let shape = field.shape();
+        let n = shape.extent(axis) as i32;
+        let ng = shape.ghosts(axis) as i32;
+        for side in 0..2 {
+            if !mask[axis.dim()][side] {
+                continue;
+            }
+            let periodic = matches!(bcs.face(axis, side), Bc::Periodic);
+            for l in 1..=ng {
+                let ghost = if side == 0 { -l } else { n - 1 + l };
+                let src = match (periodic, side) {
+                    (true, 0) => n - l,
+                    (true, _) => l - 1,
+                    (false, 0) => 0,
+                    (false, _) => n - 1,
+                };
+                for (b, a) in cross_section(shape, axis) {
+                    let (i, j, k) = assemble(axis, ghost, a, b);
+                    let (si, sj, sk) = assemble(axis, src, a, b);
+                    let v = field.at(si, sj, sk);
+                    field.set(i, j, k, v);
+                }
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use igr_prec::StoreF64;
+    use igr_prec::{StoreF16, StoreF32, StoreF64};
 
     type St = State<f64, StoreF64>;
 
@@ -591,6 +772,133 @@ mod tests {
             }
             assert_eq!(cache.planes[2][0].is_some(), !moving);
         }
+    }
+
+    /// Every stored word of every field, ghosts included, widened to f64
+    /// bits (exact for the finite values stored here, so equal bits mean
+    /// equal stored words at every precision).
+    fn words<R: Real, S: Storage<R>>(fields: &[&Field<R, S>]) -> Vec<u64> {
+        fields
+            .iter()
+            .flat_map(|f| f.packed().iter().map(|&p| S::unpack(p).to_f64().to_bits()))
+            .collect()
+    }
+
+    /// Distinct, sign-mixed values in every stored cell (ghosts included, so
+    /// a ghost the fill misses keeps a value no fill would write).
+    fn scrambled<R: Real, S: Storage<R>>(shape: GridShape, salt: u64) -> State<R, S> {
+        let mut s = State::<R, S>::zeros(shape);
+        let mut x = salt.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+        for (v, f) in s.fields_mut().into_iter().enumerate() {
+            for p in f.packed_mut() {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                let u = (x >> 11) as f64 / (1u64 << 53) as f64;
+                let val = if v == 0 || v == 4 { 0.5 + u } else { u - 0.5 };
+                *p = S::pack(R::from_f64(val));
+            }
+        }
+        s
+    }
+
+    /// The packed fills against the per-cell oracle, bit for bit, over every
+    /// `Bc` kind on every face of 1-D, 2-D and non-cubic 3-D blocks (one
+    /// with an axis shorter than the ghost width), under the full and a
+    /// partial face mask, through every public fill entry point.
+    fn fills_match_oracle_at<R: Real, S: Storage<R>>() {
+        let kinds: [Bc; 6] = [
+            Bc::Periodic,
+            Bc::Outflow,
+            Bc::Reflective,
+            Bc::Inflow(Prim::new(2.0, [3.0, -0.5, 0.25], 5.0)),
+            Bc::InflowProfile(Arc::new(Lips { moving: false })),
+            Bc::InflowProfile(Arc::new(Lips { moving: true })),
+        ];
+        let shapes = [
+            GridShape::new(9, 1, 1, 3),
+            GridShape::new(7, 5, 1, 3),
+            GridShape::new(6, 5, 4, 3),
+            GridShape::new(5, 2, 3, 3),
+        ];
+        let masks: [FaceMask; 2] = [ALL_FACES, [[true, false], [false, true], [true, true]]];
+        for (si, &shape) in shapes.iter().enumerate() {
+            let d = Domain::unit(shape);
+            for rot in 0..kinds.len() {
+                // Face (axis d, side s) takes kind (rot + 2d + s): over all
+                // rotations every face sees every kind, next to varied
+                // neighbours at the edges and corners.
+                let bcs = BcSet {
+                    faces: std::array::from_fn(|d| {
+                        std::array::from_fn(|s| kinds[(rot + 2 * d + s) % kinds.len()].clone())
+                    }),
+                };
+                for (mi, mask) in masks.iter().enumerate() {
+                    let what = format!("{} shape {si} rot {rot} mask {mi}", S::MODE);
+                    let start = scrambled::<R, S>(shape, (si * 100 + rot * 10 + mi) as u64);
+                    let axes = || Axis::ALL.into_iter().filter(|&a| shape.is_active(a));
+
+                    let mut want = start.clone();
+                    let mut got = start.clone();
+                    let mut cache = InflowCache::new();
+                    let mut cached = start.clone();
+                    let mut axis_cache = InflowCache::new();
+                    let mut by_axis = start.clone();
+                    let mut by_axis_cached = start.clone();
+                    for t in [0.0, 0.5, 0.5] {
+                        oracle::fill_ghosts(&mut want, &d, &bcs, 1.4, t, mask);
+                        fill_ghosts(&mut got, &d, &bcs, 1.4, t, mask);
+                        fill_ghosts_cached(&mut cached, &d, &bcs, 1.4, t, mask, &mut cache);
+                        for axis in axes() {
+                            fill_ghosts_axis(&mut by_axis, &d, &bcs, 1.4, t, axis, mask);
+                            fill_ghosts_axis_cached(
+                                &mut by_axis_cached,
+                                &d,
+                                &bcs,
+                                1.4,
+                                t,
+                                axis,
+                                mask,
+                                &mut axis_cache,
+                            );
+                        }
+                        let want = words(&want.fields());
+                        assert!(want == words(&got.fields()), "fill_ghosts, {what}");
+                        assert!(
+                            want == words(&cached.fields()),
+                            "fill_ghosts_cached, {what}"
+                        );
+                        assert!(want == words(&by_axis.fields()), "fill_ghosts_axis, {what}");
+                        assert!(
+                            want == words(&by_axis_cached.fields()),
+                            "fill_ghosts_axis_cached, {what}"
+                        );
+                    }
+
+                    let mut want = start.rho.clone();
+                    let mut got = start.rho.clone();
+                    let mut by_axis = start.rho.clone();
+                    for axis in axes() {
+                        oracle::fill_scalar_ghosts_axis(&mut want, &bcs, axis, mask);
+                        fill_scalar_ghosts_axis(&mut by_axis, &bcs, axis, mask);
+                    }
+                    fill_scalar_ghosts(&mut got, &bcs, mask);
+                    let want = words(&[&want]);
+                    assert!(want == words(&[&got]), "fill_scalar_ghosts, {what}");
+                    assert!(
+                        want == words(&[&by_axis]),
+                        "fill_scalar_ghosts_axis, {what}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn packed_fills_match_per_cell_oracle_bitwise() {
+        fills_match_oracle_at::<f64, StoreF64>();
+        fills_match_oracle_at::<f32, StoreF32>();
+        fills_match_oracle_at::<f32, StoreF16>();
     }
 
     #[test]

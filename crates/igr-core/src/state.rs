@@ -238,7 +238,9 @@ impl<R: Real, S: Storage<R>> State<R, S> {
 
     /// Largest admissible time step: `cfl / max_cells Σ_d (|u_d|+c)/Δx_d`,
     /// with a parabolic term when viscosity is active. Parallel reduction
-    /// over z-layers.
+    /// over z-layers; each interior row is read in `CONVERT_BLOCK` chunks
+    /// through [`Storage::unpack_view`] (no copy at f32/f64), with the same
+    /// per-cell arithmetic as [`State::prim_at`].
     pub fn max_dt(&self, domain: &Domain, gamma: f64, mu: f64, zeta: f64, cfl: f64) -> f64 {
         let shape = self.shape;
         let g = R::from_f64(gamma);
@@ -247,6 +249,7 @@ impl<R: Real, S: Storage<R>> State<R, S> {
             .map(|a| (a.dim(), 1.0 / domain.dx(a)))
             .collect();
         let diff = mu.max(zeta); // diffusivity scale for the parabolic limit
+        let fields = self.fields().map(|f| f.packed());
         let max_signal = (0..shape.nz as i32)
             .into_par_iter()
             // One range item scans a whole z-layer; hint the interior cell
@@ -255,18 +258,30 @@ impl<R: Real, S: Storage<R>> State<R, S> {
             .with_elements_hint(shape.nx * shape.ny * shape.nz)
             .map(|k| {
                 let mut local_max = 0.0f64;
+                let mut conv = [[R::ZERO; CONVERT_BLOCK]; NV];
                 for j in 0..shape.ny as i32 {
-                    for i in 0..shape.nx as i32 {
-                        let pr = self.prim_at(i, j, k, g);
-                        let c = pr.sound_speed(g).to_f64();
-                        let mut s = 0.0;
-                        for &(d, idx) in &inv_dx {
-                            s += (pr.vel[d].to_f64().abs() + c) * idx;
-                            if diff > 0.0 {
-                                s += 2.0 * diff / pr.rho.to_f64() * idx * idx;
+                    let start = shape.idx(0, j, k);
+                    let end = start + shape.nx;
+                    for at in (start..end).step_by(CONVERT_BLOCK) {
+                        let n = CONVERT_BLOCK.min(end - at);
+                        let [b0, b1, b2, b3, b4] = conv.each_mut();
+                        let rho = S::unpack_view(&fields[0][at..at + n], b0);
+                        let mx = S::unpack_view(&fields[1][at..at + n], b1);
+                        let my = S::unpack_view(&fields[2][at..at + n], b2);
+                        let mz = S::unpack_view(&fields[3][at..at + n], b3);
+                        let en = S::unpack_view(&fields[4][at..at + n], b4);
+                        for c in 0..n {
+                            let pr = cons_to_prim(&[rho[c], mx[c], my[c], mz[c], en[c]], g);
+                            let snd = pr.sound_speed(g).to_f64();
+                            let mut s = 0.0;
+                            for &(d, idx) in &inv_dx {
+                                s += (pr.vel[d].to_f64().abs() + snd) * idx;
+                                if diff > 0.0 {
+                                    s += 2.0 * diff / pr.rho.to_f64() * idx * idx;
+                                }
                             }
+                            local_max = local_max.max(s);
                         }
-                        local_max = local_max.max(s);
                     }
                 }
                 local_max
@@ -302,7 +317,7 @@ pub fn line_values<R: Real, S: Storage<R>>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use igr_prec::StoreF64;
+    use igr_prec::{StoreF16, StoreF32, StoreF64};
 
     type St = State<f64, StoreF64>;
 
@@ -388,6 +403,86 @@ mod tests {
         let dt_inviscid = s.max_dt(&d, 1.4, 0.0, 0.0, 0.5);
         let dt_viscous = s.max_dt(&d, 1.4, 0.1, 0.0, 0.5);
         assert!(dt_viscous < dt_inviscid);
+    }
+
+    /// The per-cell scan `max_dt` replaced: `prim_at` at every interior
+    /// cell, the same arithmetic, serial.
+    fn max_dt_oracle<R: Real, S: Storage<R>>(
+        s: &State<R, S>,
+        domain: &Domain,
+        gamma: f64,
+        mu: f64,
+        cfl: f64,
+    ) -> f64 {
+        let shape = s.shape();
+        let g = R::from_f64(gamma);
+        let mut max_signal = 0.0f64;
+        for k in 0..shape.nz as i32 {
+            for j in 0..shape.ny as i32 {
+                for i in 0..shape.nx as i32 {
+                    let pr = s.prim_at(i, j, k, g);
+                    let c = pr.sound_speed(g).to_f64();
+                    let mut sig = 0.0;
+                    for a in shape.active_axes() {
+                        let idx = 1.0 / domain.dx(a);
+                        sig += (pr.vel[a.dim()].to_f64().abs() + c) * idx;
+                        if mu > 0.0 {
+                            sig += 2.0 * mu / pr.rho.to_f64() * idx * idx;
+                        }
+                    }
+                    max_signal = max_signal.max(sig);
+                }
+            }
+        }
+        cfl / max_signal
+    }
+
+    /// `max_dt` equals the per-cell oracle bit for bit at row lengths on
+    /// both sides of the conversion block, in 1-D, 2-D and 3-D, inviscid
+    /// and viscous, with the fastest cell placed at a row's first cell,
+    /// either side of a block edge and its last cell.
+    fn cfl_scan_matches_oracle_at<R: Real, S: Storage<R>>() {
+        for nx in [1usize, 63, 64, 65, 130] {
+            for (ny, nz) in [(1, 1), (5, 1), (4, 3)] {
+                if nx * ny * nz == 1 {
+                    continue; // no active axis, no wave speed
+                }
+                let shape = GridShape::new(nx, ny, nz, 3);
+                let domain = Domain::unit(shape);
+                let mut s = State::<R, S>::zeros(shape);
+                s.set_prim_field(&domain, 1.4, |p| {
+                    let w = 9.0 * p[0] + 5.0 * p[1] + 3.0 * p[2];
+                    Prim::new(
+                        1.0 + 0.4 * w.sin(),
+                        [w.cos(), -0.5, 0.25],
+                        1.0 + 0.3 * w.cos(),
+                    )
+                });
+                let hot = Prim::<R>::from_f64(0.7, [3.0, -2.5, 2.0], 2.5).to_cons(R::from_f64(1.4));
+                let (j, k) = ((ny / 2) as i32, (nz - 1) as i32);
+                for i in [0, 63, 64, nx - 1].into_iter().filter(|&i| i < nx) {
+                    let mut s = s.clone();
+                    s.set_cons(i as i32, j, k, hot);
+                    for mu in [0.0, 0.05] {
+                        let got = s.max_dt(&domain, 1.4, mu, 0.0, 0.5);
+                        let want = max_dt_oracle(&s, &domain, 1.4, mu, 0.5);
+                        assert_eq!(
+                            got.to_bits(),
+                            want.to_bits(),
+                            "{} {nx}x{ny}x{nz}, hot cell {i}, mu {mu}: {got} vs {want}",
+                            S::MODE
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn cfl_scan_matches_per_cell_oracle_bitwise() {
+        cfl_scan_matches_oracle_at::<f64, StoreF64>();
+        cfl_scan_matches_oracle_at::<f32, StoreF32>();
+        cfl_scan_matches_oracle_at::<f32, StoreF16>();
     }
 
     #[test]

@@ -2,10 +2,12 @@
 //!
 //! Mirrors `igr_core::bc` (axis-by-axis over the full stored cross-section,
 //! so edge and corner ghosts are consistent) but carries the seven-field
-//! state and mixture inflow profiles.
+//! state and mixture inflow profiles. Periodic, outflow and reflective faces
+//! share the single-fluid word copy ([`igr_core::bc::copy_face`]).
 
 use crate::eos::{MixEos, MixPrim, I_MX};
 use crate::state::SpeciesState;
+use igr_core::bc::{copy_face, GhostCopy};
 use igr_core::Fields;
 use igr_grid::{Axis, Domain, GridShape};
 use igr_prec::{Real, Storage};
@@ -143,6 +145,16 @@ fn fill_face<R: Real, S: Storage<R>>(
     axis: Axis,
     side: usize,
 ) {
+    let kind = match bc {
+        SpeciesBc::Periodic => Some(GhostCopy::Wrap),
+        SpeciesBc::Outflow => Some(GhostCopy::Extend),
+        SpeciesBc::Reflective => Some(GhostCopy::Mirror),
+        SpeciesBc::Inflow(_) | SpeciesBc::InflowProfile(_) => None,
+    };
+    if let Some(kind) = kind {
+        copy_face(state.fields_mut(), axis, side, kind, I_MX + axis.dim());
+        return;
+    }
     let shape = state.shape();
     let n = shape.extent(axis) as i32;
     let ng = shape.ghosts(axis) as i32;
@@ -151,39 +163,15 @@ fn fill_face<R: Real, S: Storage<R>>(
         let ghost = if side == 0 { -l } else { n - 1 + l };
         for (b, a) in cross_section(shape, axis) {
             let (i, j, k) = assemble(axis, ghost, a, b);
-            match bc {
-                SpeciesBc::Periodic => {
-                    let src = if side == 0 { n - l } else { l - 1 };
-                    let (si, sj, sk) = assemble(axis, src, a, b);
-                    let q = state.cons_at(si, sj, sk);
-                    state.set_cons(i, j, k, q);
+            let pr = match bc {
+                SpeciesBc::InflowProfile(profile) => profile.prim(domain.cell_center(i, j, k), t),
+                SpeciesBc::Inflow(pr) => *pr,
+                SpeciesBc::Periodic | SpeciesBc::Outflow | SpeciesBc::Reflective => {
+                    unreachable!("copied above")
                 }
-                SpeciesBc::Outflow => {
-                    let src = if side == 0 { 0 } else { n - 1 };
-                    let (si, sj, sk) = assemble(axis, src, a, b);
-                    let q = state.cons_at(si, sj, sk);
-                    state.set_cons(i, j, k, q);
-                }
-                SpeciesBc::Reflective => {
-                    let src = if side == 0 { l - 1 } else { n - l };
-                    let (si, sj, sk) = assemble(axis, src, a, b);
-                    let mut q = state.cons_at(si, sj, sk);
-                    q[I_MX + axis.dim()] = -q[I_MX + axis.dim()];
-                    state.set_cons(i, j, k, q);
-                }
-                SpeciesBc::Inflow(pr) => {
-                    let prr: MixPrim<R> =
-                        MixPrim::from_f64([pr.ar[0], pr.ar[1]], pr.vel, pr.p, pr.alpha);
-                    state.set_cons(i, j, k, prr.to_cons(eos));
-                }
-                SpeciesBc::InflowProfile(profile) => {
-                    let pos = domain.cell_center(i, j, k);
-                    let pr = profile.prim(pos, t);
-                    let prr: MixPrim<R> =
-                        MixPrim::from_f64([pr.ar[0], pr.ar[1]], pr.vel, pr.p, pr.alpha);
-                    state.set_cons(i, j, k, prr.to_cons(eos));
-                }
-            }
+            };
+            let prr: MixPrim<R> = MixPrim::from_f64([pr.ar[0], pr.ar[1]], pr.vel, pr.p, pr.alpha);
+            state.set_cons(i, j, k, prr.to_cons(eos));
         }
     }
 }

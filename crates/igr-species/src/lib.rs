@@ -32,10 +32,11 @@
 //! slice path, integrals, health scans), the SSP-RK two-buffer loop
 //! (`igr_core::stepper::advance`), the slab-parallel chunk dispatch and the
 //! buffered flux-row walks, the Σ workspace and its relaxation loop
-//! (`igr_core::sigma::EllipticWorkspace`), and the memory-report rows. What
+//! (`igr_core::sigma::EllipticWorkspace`), the memory-report rows, and the
+//! periodic/outflow/reflective ghost fills (`igr_core::bc::copy_face`). What
 //! is still species-specific: the mixture EOS, the interface flux with the
-//! `α∇·u` term, the Σ source and mixture density, the boundary fill and the
-//! CFL scan.
+//! `α∇·u` term, the Σ source and mixture density, the inflow ghost faces and
+//! the CFL scan.
 //!
 //! Crate layout:
 //! * [`eos`] — mixture thermodynamics (`MixEos`, `MixPrim`) and fluxes;
